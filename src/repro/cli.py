@@ -458,72 +458,73 @@ def _drain_on_sigterm(stop_fn, what: str) -> None:
     signal.signal(signal.SIGTERM, handler)
 
 
+def _run_gateway(args, what: str, banner, **kwargs) -> int:
+    """Serve one :class:`ClusterGateway` until it is shut down: the
+    common body of ``repro serve`` and ``repro cluster gateway``.
+    ``banner(gateway)`` is the line announcing the bound address."""
+    from repro.cluster.gateway import ClusterGateway
+    gateway = ClusterGateway(
+        host=args.host, port=args.port,
+        queue_capacity=args.queue_capacity,
+        default_deadline=args.default_deadline,
+        max_retries=args.max_retries,
+        drain_timeout=args.drain_timeout,
+        telemetry_dir=args.telemetry_dir,
+        run_id=args.run_id, **kwargs)
+    gateway.start_background()
+    print(banner(gateway), flush=True)
+    _drain_on_sigterm(lambda: gateway.stop(drain=True), what)
+    try:
+        gateway.wait()
+    except KeyboardInterrupt:
+        print("shutting down", file=sys.stderr)
+        gateway.stop()
+    return 0
+
+
+def _plural(n: int, noun: str) -> str:
+    return f"{n} {noun}{'s' if n != 1 else ''}"
+
+
 def cmd_serve(args) -> int:
+    from repro.cluster.shardcache import LocalShard, ShardedCache
+    from repro.experiments.executor import resolve_jobs
     from repro.perfect.suite import cache_dir, disk_cache_enabled
-    from repro.service.server import ParallelizationServer
     import os
     directory = None
     if args.cache_dir:
         directory = args.cache_dir
     elif disk_cache_enabled():
         directory = os.path.join(cache_dir(), "results")
-    server = ParallelizationServer(
-        host=args.host, port=args.port, jobs=args.jobs,
-        queue_capacity=args.queue_capacity, cache_dir=directory,
-        default_deadline=args.default_deadline,
-        max_retries=args.max_retries,
-        drain_timeout=args.drain_timeout,
-        telemetry_dir=args.telemetry_dir,
-        run_id=args.run_id)
-    host, port = server.start()
-    print(f"repro service listening on {host}:{port} "
-          f"({server.workers} worker{'s' if server.workers != 1 else ''}, "
-          f"queue capacity {server.queue.capacity})", flush=True)
-    _drain_on_sigterm(lambda: server.stop(drain=True), "repro serve")
-    try:
-        server.wait()
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-        server.stop()
-    return 0
+    return _run_gateway(
+        args, "repro serve", lambda gw: (
+            f"repro service listening on {gw.address[0]}:{gw.address[1]} "
+            f"({_plural(gw.local_workers, 'worker')}, "
+            f"queue capacity {gw.queue_capacity})"),
+        tier="single-node", local_workers=resolve_jobs(args.jobs),
+        shards=ShardedCache({"local": LocalShard(capacity=128,
+                                                 directory=directory)}))
 
 
 def cmd_cluster_gateway(args) -> int:
-    from repro.cluster.gateway import ClusterGateway
     from repro.cluster.shardcache import LocalShard, ShardedCache
     if args.shard:
         shards = ShardedCache.from_specs(args.shard)
     else:
         shards = ShardedCache({"local": LocalShard(
             capacity=args.cache_capacity, directory=args.cache_dir)})
-    gateway = ClusterGateway(
-        host=args.host, port=args.port, shards=shards,
-        queue_capacity=args.queue_capacity,
-        default_deadline=args.default_deadline,
-        max_retries=args.max_retries,
+    return _run_gateway(
+        args, "repro cluster gateway", lambda gw: (
+            f"repro cluster gateway listening on "
+            f"{gw.address[0]}:{gw.address[1]} "
+            f"({_plural(len(shards.shard_names), 'cache shard')}, "
+            f"{_plural(gw.local_workers, 'local worker')})"),
+        tier="cluster", shards=shards,
         retry_backoff=args.retry_backoff,
-        drain_timeout=args.drain_timeout,
         heartbeat_timeout=args.heartbeat_timeout,
         local_workers=args.local_workers,
         inline=True if args.inline else None,
-        telemetry_dir=args.telemetry_dir,
-        telemetry_interval=args.telemetry_interval,
-        run_id=args.run_id)
-    host, port = gateway.start_background()
-    print(f"repro cluster gateway listening on {host}:{port} "
-          f"({len(shards.shard_names)} cache shard"
-          f"{'s' if len(shards.shard_names) != 1 else ''}, "
-          f"{args.local_workers} local worker"
-          f"{'s' if args.local_workers != 1 else ''})", flush=True)
-    _drain_on_sigterm(lambda: gateway.stop(drain=True),
-                      "repro cluster gateway")
-    try:
-        gateway.wait()
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-        gateway.stop()
-        gateway.wait(timeout=10.0)
-    return 0
+        telemetry_interval=args.telemetry_interval)
 
 
 def cmd_cluster_shard(args) -> int:

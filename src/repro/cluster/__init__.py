@@ -1,10 +1,12 @@
 """repro.cluster — the distributed parallelization tier.
 
-PR 2's :mod:`repro.service` serves one box: a threaded TCP daemon, a
-local LRU/disk result cache, and one process pool.  This package scales
-that design out while keeping the wire protocol — the synchronous
-:class:`repro.service.client.ServiceClient` works unchanged against the
-cluster:
+:mod:`repro.service` holds the wire surface (protocol, job model,
+result cache, client).  This package holds the one server behind it —
+``repro serve`` runs the gateway with local workers over an in-process
+cache shard — and the pieces that scale it out while keeping the wire
+protocol, so the synchronous
+:class:`repro.service.client.ServiceClient` works unchanged against one
+box or a cluster:
 
 * :mod:`.ring` — a consistent-hash ring with virtual nodes; adding or
   removing a shard remaps ~1/N of the key space, never all of it;

@@ -1,12 +1,14 @@
-"""The cluster gateway: an asyncio front door for the parallelization
+"""The serving core: an asyncio front door for the parallelization
 service.
 
 One :class:`ClusterGateway` multiplexes thousands of concurrent client
-sessions over a single event loop while speaking exactly the protocol of
-the single-node daemon — the synchronous
-:class:`repro.service.client.ServiceClient` works unchanged, frame for
-frame (``submit``/``status``/``result``/``cancel``/``health``/
-``metrics``/``shutdown``).
+sessions over a single event loop, answering the wire protocol the
+synchronous :class:`repro.service.client.ServiceClient` speaks
+(``submit``/``status``/``result``/``cancel``/``health``/``metrics``/
+``shutdown``).  It is the only server: ``repro serve`` runs it with
+local workers over one in-process cache shard (``tier="single-node"``),
+and ``repro cluster gateway`` runs it in front of shard and worker
+fleets (``tier="cluster"``).
 
 Scale-out happens behind that front door:
 
@@ -29,24 +31,24 @@ Scale-out happens behind that front door:
   attempts respected) — the same semantics PR 2 gave in-process worker
   crashes;
 * an observability plane: traced submissions (a ``trace_ctx`` beside
-  the payload, like ``ctx``) open gateway spans for the cache lookup,
-  queue wait, execution, and the whole job; worker/shard spans arrive
-  piggybacked on heartbeats and cache responses together with remote
-  wall clocks that feed a per-node :class:`ClockModel`; a ``telemetry``
-  op streams merged metric snapshots + health events, and a
-  ``trace-export`` op hands everything to ``repro trace-collect`` for
-  cross-node stitching.
+  the payload, like ``ctx``) open spans for the result-cache lookup
+  (``cache-lookup``), queue wait, execution, and the whole job;
+  worker/shard spans arrive piggybacked on heartbeats and cache
+  responses together with remote wall clocks that feed a per-node
+  :class:`ClockModel`; a ``telemetry`` op streams merged metric
+  snapshots + health events, and a ``trace-export`` op hands
+  everything to ``repro trace-collect`` for cross-node stitching.
 
 Concurrency model: all mutable state (job table, queue, leases, node
 table) is owned by the event loop and touched only from coroutines, so
-there are no locks; the only blocking work — shard-cache socket I/O and
-the optional embedded worker pool — is pushed through
-``asyncio.to_thread``, with dedup re-checked after every ``await`` that
-could have admitted a competitor.
+there are no locks.  Embedded workers await their process-pool futures
+on the loop; cache calls that can block (remote shards, a disk tier)
+go through ``asyncio.to_thread``, with dedup re-checked after every
+``await`` that could have admitted a competitor.
 
 A gateway with ``local_workers > 0`` embeds its own executor fleet
 driven through the *same* lease machinery as remote nodes, so one
-process can serve a full cluster surface (tests, small deployments).
+process serves the full surface.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ from repro.experiments.executor import (WorkerCrashError, WorkerPool,
                                         WorkerTimeout, resolve_jobs)
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
-from repro.obs.distributed import (ClockModel, SpanRecorder, TraceContext)
+from repro.obs.distributed import (ClockModel, SpanRecorder, TraceContext,
+                                   validate_trace_ctx)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import SpanStore, TelemetryStore
 from repro.service import ops, protocol
@@ -76,6 +79,10 @@ _LIVE_STATES = (JobState.QUEUED, JobState.RUNNING)
 
 #: a node silent for this many seconds is declared dead
 DEFAULT_HEARTBEAT_TIMEOUT = 5.0
+
+#: tier -> (span node/category of the core, default run-id prefix)
+_TIER_ROLES = {"single-node": ("daemon", "svc"),
+               "cluster": ("gateway", "gw")}
 
 
 class _Node:
@@ -105,11 +112,14 @@ class ClusterGateway:
 
     ``port=0`` binds an ephemeral port; read ``gateway.address`` after
     start.  With no ``shards`` a single in-process shard backs the
-    cache, so a bare gateway still dedups and caches.
+    cache, so a bare gateway still dedups and caches.  ``tier`` is what
+    ``health`` and ``telemetry`` report: ``single-node`` for
+    ``repro serve``, ``cluster`` for ``repro cluster gateway``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  shards: Optional[ShardedCache] = None,
+                 tier: str = "cluster",
                  queue_capacity: int = 256,
                  default_deadline: Optional[float] = None,
                  max_retries: int = 1, retry_backoff: float = 0.5,
@@ -122,6 +132,8 @@ class ClusterGateway:
                  run_id: Optional[str] = None):
         self.host = host
         self.port = port
+        self.tier = tier
+        self._role, run_prefix = _TIER_ROLES[tier]
         self.queue_capacity = queue_capacity
         self.default_deadline = default_deadline
         self.max_retries = max_retries
@@ -131,6 +143,7 @@ class ClusterGateway:
         self.local_workers = local_workers
         self.telemetry_interval = telemetry_interval
         self.metrics = MetricsRegistry()
+        self.m = ops.ServiceMetrics(self.metrics)
         self.cache = shards if shards is not None else ShardedCache(
             {"local": LocalShard()}, registry=self.metrics)
         self.pool = WorkerPool(resolve_jobs(local_workers or 1),
@@ -139,9 +152,9 @@ class ClusterGateway:
         # observability plane: spans recorded here + shipped from
         # workers/shards, wall-clock offsets per node, periodic
         # snapshots/events (persisted when telemetry_dir is given)
-        self.run_id = run_id or f"gw-{os.getpid()}"
+        self.run_id = run_id or f"{run_prefix}-{os.getpid()}"
         self.clock = ClockModel()
-        self.spans = SpanRecorder("gateway")
+        self.spans = SpanRecorder(self._role)
         self.span_store = SpanStore(telemetry_dir, self.run_id)
         self.telemetry = TelemetryStore(telemetry_dir, self.run_id)
         self._traced: Dict[str, Dict[str, Any]] = {}  # job id -> trace
@@ -167,33 +180,6 @@ class ClusterGateway:
         self._thread: Optional[threading.Thread] = None
 
         m = self.metrics
-        self._m_submitted = m.counter(
-            "repro_jobs_submitted_total", "jobs accepted into the queue")
-        self._m_rejected = m.counter(
-            "repro_jobs_rejected_total", "submissions rejected (queue full)")
-        self._m_deduped = m.counter(
-            "repro_jobs_deduped_total", "submissions joined to an "
-            "in-flight job with the same digest")
-        self._m_retried = m.counter(
-            "repro_jobs_retried_total", "crash retries re-enqueued")
-        self._m_completed = m.counter(
-            "repro_jobs_completed_total", "jobs reaching a final state, "
-            "by state")
-        self._m_cache_hits = m.counter(
-            "repro_cache_hits_total", "submissions answered from the "
-            "result cache")
-        self._m_cache_misses = m.counter(
-            "repro_cache_misses_total", "submissions that had to run")
-        self._m_depth = m.gauge(
-            "repro_queue_depth", "jobs waiting in the queue")
-        self._m_running = m.gauge(
-            "repro_jobs_running", "jobs currently executing")
-        self._m_uptime = m.gauge(
-            "repro_uptime_seconds", "seconds since the gateway started")
-        self._m_latency = m.histogram(
-            "repro_job_latency_seconds", "submit-to-finish wall clock")
-        self._m_requests = m.counter(
-            "repro_requests_total", "protocol requests handled, by op")
         self._m_sessions = m.gauge(
             "repro_cluster_sessions", "connected protocol sessions")
         self._m_pulls = m.counter(
@@ -207,12 +193,6 @@ class ClusterGateway:
             "dead after missed heartbeats")
         self._m_heartbeats = m.counter(
             "repro_cluster_heartbeats_total", "worker heartbeats received")
-        self._m_loops_parallel = m.counter(
-            "repro_loops_parallel_total", "loops parallelized by "
-            "finished jobs")
-        self._m_loops_serial = m.counter(
-            "repro_loops_serial_total", "loops left serial by finished "
-            "jobs, by reason")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -223,6 +203,9 @@ class ClusterGateway:
         self._work_available = asyncio.Event()
         self._stopped_async = asyncio.Event()
         self._started_at = time.monotonic()
+        swept = self.cache.sweep()
+        if swept:
+            _log.warning("cache-sweep", removed=swept)
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port)
         self.address = self._server.sockets[0].getsockname()[:2]
@@ -248,6 +231,9 @@ class ClusterGateway:
         self._stopping = True
         _log.info("gateway-stop", pending=self.pending_jobs())
         if self._server is not None:
+            # no wait_closed(): since 3.12 it waits for every session to
+            # end, and a forked pool worker can hold a session's socket
+            # open; open sessions are cancelled when the loop exits
             self._server.close()
         for task in self._tasks:
             task.cancel()
@@ -256,14 +242,10 @@ class ClusterGateway:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        if self._server is not None:
-            try:
-                await self._server.wait_closed()
-            except Exception:
-                pass
+        # nothing is served any more, so blocking the loop is harmless
         if self.pool is not None:
-            self.pool.shutdown()
-        await asyncio.to_thread(self.cache.close)
+            self.pool.shutdown(wait=True)
+        self.cache.close()
         self._stopped_async.set()
 
     async def _shutdown_task(self, drain: bool,
@@ -302,16 +284,19 @@ class ClusterGateway:
 
     def stop(self, drain: bool = False,
              drain_timeout: Optional[float] = None) -> None:
-        """Thread-safe shutdown request (background mode)."""
+        """Shut down from another thread (background mode); returns once
+        the loop thread and the worker pool are gone.  ``drain`` first
+        lets accepted jobs finish, as the ``shutdown`` op does."""
         loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(
-                    self._shutdown_task(drain, drain_timeout)))
-        except RuntimeError:
-            pass  # loop already gone
+        if loop is not None and not loop.is_closed():
+            try:
+                asyncio.run_coroutine_threadsafe(
+                    self._shutdown_task(drain, drain_timeout), loop)
+            except RuntimeError:
+                pass  # loop already closing
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._finished.wait(timeout=timeout)
@@ -332,6 +317,9 @@ class ClusterGateway:
     def pending_jobs(self) -> int:
         return sum(1 for job in self._jobs.values()
                    if job.state not in FINAL_STATES)
+
+    def get_job(self, job_id: str) -> Optional[Job]:
+        return self._jobs.get(job_id)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -389,14 +377,15 @@ class ClusterGateway:
         op = request.get("op")
         handler = self._OPS.get(op) if isinstance(op, str) else None
         if handler is None:
-            self._m_requests.inc(op="unknown")
+            self.m.requests.inc(op="unknown")
             return protocol.error_response(
                 f"unknown op {op!r}; expected submit/status/result/cancel/"
                 f"health/metrics/telemetry/trace-export/shutdown or "
                 f"work-pull/work-start/work-done/work-fail/heartbeat",
                 code="bad-op")
-        self._m_requests.inc(op=op)
-        return await handler(self, request)
+        self.m.requests.inc(op=op)
+        with self.m.request_seconds.time():
+            return await handler(self, request)
 
     # ------------------------------------------------------------------
     # client-facing ops (the single-node surface)
@@ -417,13 +406,13 @@ class ClusterGateway:
         if ctx_problem:
             return protocol.error_response(ctx_problem, code="bad-request")
         trace_ctx = request.get("trace_ctx")
-        trace_problem = ops.validate_trace_ctx(trace_ctx)
+        trace_problem = validate_trace_ctx(trace_ctx)
         if trace_problem:
             return protocol.error_response(trace_problem,
                                            code="bad-request")
         trace = self._open_trace(trace_ctx)
         if self._draining or self._stopping:
-            self._m_rejected.inc()
+            self.m.rejected.inc()
             return protocol.error_response(
                 "service is draining before shutdown; no new jobs "
                 "accepted", code="backpressure")
@@ -431,19 +420,14 @@ class ClusterGateway:
         digest = payload_digest(payload)
         job, deduped = self._live_job(digest), True
         if job is None:
-            # probe the shard tier off-loop; competitors may admit the
-            # same digest while we wait, so re-check dedup afterwards.
-            # When traced, the cache carries the job span's context and
-            # the shard piggybacks its own span on the response.
-            cached = await asyncio.to_thread(
-                self.cache.get, digest,
-                None if trace is None
-                else {"traceparent": trace["span"].to_traceparent()})
+            # competitors may admit the same digest while the lookup
+            # awaits, so re-check dedup afterwards
+            cached = await self._cache_lookup(digest, trace)
             job = self._live_job(digest)
             if job is not None:
-                self._m_deduped.inc()
+                self.m.deduped.inc()
             elif self._draining or self._stopping:
-                self._m_rejected.inc()
+                self.m.rejected.inc()
                 return protocol.error_response(
                     "service is draining before shutdown; no new jobs "
                     "accepted", code="backpressure")
@@ -452,13 +436,13 @@ class ClusterGateway:
                 job = self._admit(digest, payload, request, ctx, cached,
                                   trace=trace)
                 if job is None:
-                    self._m_rejected.inc()
+                    self.m.rejected.inc()
                     return protocol.error_response(
                         f"queue is full ({self.queue_capacity} jobs "
                         f"waiting); retry after the backlog drains",
                         code="backpressure")
         else:
-            self._m_deduped.inc()
+            self.m.deduped.inc()
         if request.get("wait"):
             await self._wait_finished(job, request.get("wait_timeout"))
         return ops.job_response(
@@ -466,8 +450,33 @@ class ClusterGateway:
             include_result=bool(request.get("wait")),
             include_trace=bool(request.get("include_trace")))
 
+    async def _cache_call(self, fn, *args):
+        """Call the cache on the loop unless a shard could block it."""
+        if self.cache.blocking:
+            return await asyncio.to_thread(fn, *args)
+        return fn(*args)
+
+    async def _cache_lookup(self, digest: str,
+                            trace: Optional[Dict[str, Any]]
+                            ) -> Optional[Dict[str, Any]]:
+        """Result-cache lookup; traced, it records a ``cache-lookup``
+        span under the job span and hands that span's context to remote
+        shards, which piggyback their own ``cache-get`` span."""
+        if trace is None:
+            return await self._cache_call(self.cache.get, digest)
+        t0_wall, t0 = time.time(), time.perf_counter()
+        cached = await self._cache_call(
+            self.cache.get, digest,
+            {"traceparent": trace["span"].to_traceparent()})
+        self.spans.record(
+            "cache-lookup", trace["span"].child(), cat="cache",
+            start_wall=t0_wall, duration=time.perf_counter() - t0,
+            parent_id=trace["span"].span_id, digest=digest,
+            hit=cached is not None)
+        return cached
+
     def _open_trace(self, trace_ctx: Any) -> Optional[Dict[str, Any]]:
-        """Open the gateway-side 'job' span for a traced submission.
+        """Open the core's 'job' span for a traced submission.
 
         Returns None for untraced submits (the overwhelmingly common
         case — one dict lookup and an ``is None`` test is the whole
@@ -512,19 +521,19 @@ class ClusterGateway:
             job.trace_ctx = {"traceparent": trace["span"].to_traceparent()}
             self._traced[job.id] = trace
         if cached is not None:
-            self._m_cache_hits.inc()
+            self.m.cache_hits.inc()
             job.cached = True
             job.finish(JobState.DONE, result=cached)
-            self._m_completed.inc(state=JobState.DONE)
+            self.m.completed.inc(state=JobState.DONE)
             self._jobs[job.id] = job
             if trace is not None:
                 self._record_job_span(job, trace)
             return job
-        self._m_cache_misses.inc()
+        self.m.cache_misses.inc()
         if len(self._pending) >= self.queue_capacity:
             self._traced.pop(job.id, None)
             return None
-        self._m_submitted.inc()
+        self.m.submitted.inc()
         self._jobs[job.id] = job
         self._by_digest[digest] = job.id
         self._waiters[job.id] = asyncio.Event()
@@ -536,7 +545,7 @@ class ClusterGateway:
             self._pending.appendleft(job_id)
         else:
             self._pending.append(job_id)
-        self._m_depth.set(len(self._pending))
+        self.m.depth.set(len(self._pending))
         if self._work_available is not None:
             self._work_available.set()
 
@@ -624,10 +633,10 @@ class ClusterGateway:
                 "failed": node.failed,
                 "info": node.info,
             }
-        shard_stats = await asyncio.to_thread(self.cache.shard_stats)
+        shard_stats = await self._cache_call(self.cache.shard_stats)
         return {
             "ok": True,
-            "tier": "cluster",
+            "tier": self.tier,
             "uptime": self.uptime(),
             "draining": self.draining,
             "workers": self.local_workers,
@@ -659,7 +668,7 @@ class ClusterGateway:
         return combined
 
     async def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._m_uptime.set(self.uptime())
+        self.m.uptime.set(self.uptime())
         fmt = request.get("format", "json")
         if fmt == "prometheus":
             return {"ok": True, "format": "prometheus",
@@ -719,7 +728,7 @@ class ClusterGateway:
             node.unstarted.add(job.id)
             node.lease_at[job.id] = time.monotonic()
             claimed.append(job)
-        self._m_depth.set(len(self._pending))
+        self.m.depth.set(len(self._pending))
         if not self._pending and self._work_available is not None:
             self._work_available.clear()
         return claimed
@@ -817,14 +826,14 @@ class ClusterGateway:
         job.started_at = time.monotonic()
         job.attempts += 1
         node.running.add(job_id)
-        self._m_running.inc()
+        self.m.running.inc()
         trace = self._traced.get(job_id)
         if trace is not None:
             # submit -> first execution start = queue wait (includes any
             # lease hand-offs); crash retries open a second segment
             now = time.time()
             self.spans.record(
-                "queue-wait", trace["span"].child(), cat="gateway",
+                "queue-wait", trace["span"].child(), cat=self._role,
                 start_wall=trace.get("last_wait", trace["submit_wall"]),
                 duration=max(0.0, now - trace.get("last_wait",
                                                   trace["submit_wall"])),
@@ -867,9 +876,9 @@ class ClusterGateway:
         node.running.discard(job.id)
         node.lease_at.pop(job.id, None)
         node.done += 1
-        self._m_running.dec()
-        await asyncio.to_thread(self.cache.put, job.digest, result,
-                                job.trace_ctx)
+        self.m.running.dec()
+        await self._cache_call(self.cache.put, job.digest, result,
+                               job.trace_ctx)
         self._finish_job(job, JobState.DONE, result=result)
         _log.info("job-done", job_id=job.id, node=node.name,
                   latency=round(job.latency() or 0.0, 4))
@@ -887,7 +896,7 @@ class ClusterGateway:
         node.running.discard(job.id)
         node.lease_at.pop(job.id, None)
         node.failed += 1
-        self._m_running.dec()
+        self.m.running.dec()
         if kind == "timeout":
             self._finish_job(job, JobState.TIMEOUT,
                              error=error or "deadline expired while "
@@ -973,7 +982,7 @@ class ClusterGateway:
     async def _snapshot_telemetry(self) -> Dict[str, Any]:
         """One merged metric+health snapshot (also drains gateway spans
         into the store so ``trace-export`` sees them)."""
-        self._m_uptime.set(self.uptime())
+        self.m.uptime.set(self.uptime())
         self.span_store.add(self.spans.drain())
         metrics = self._exported_metrics().export()
         health = await self._op_health({})
@@ -997,7 +1006,7 @@ class ClusterGateway:
         since = request.get("events_since")
         events = self.telemetry.events_since(
             since if isinstance(since, int) else 0)
-        return {"ok": True, "tier": "cluster", "run_id": self.run_id,
+        return {"ok": True, "tier": self.tier, "run_id": self.run_id,
                 "snapshot": snapshot, "events": events,
                 "event_seq": self.telemetry.event_seq(),
                 "spans_stored": len(self.span_store)}
@@ -1061,7 +1070,7 @@ class ClusterGateway:
                 error=f"worker crashed {job.attempts} times "
                       f"(retries exhausted): {error}")
             return
-        self._m_retried.inc()
+        self.m.retried.inc()
         job.state = JobState.QUEUED
         delay = self.retry_backoff * (2 ** (job.attempts - 1))
         remaining = job.remaining()
@@ -1096,7 +1105,7 @@ class ClusterGateway:
             return
         trace["recorded"] = True
         self.spans.record(
-            "job", trace["span"], cat="gateway",
+            "job", trace["span"], cat=self._role,
             start_wall=trace["submit_wall"],
             duration=job.latency() or 0.0,
             parent_id=trace["root"].span_id,
@@ -1107,7 +1116,7 @@ class ClusterGateway:
                     result: Optional[Dict[str, Any]] = None,
                     error: str = "") -> None:
         job.finish(state, result=result, error=error)
-        self._m_completed.inc(state=state)
+        self.m.finished(job)
         trace = self._traced.get(job.id)
         if trace is not None:
             self._record_job_span(job, trace)
@@ -1116,19 +1125,6 @@ class ClusterGateway:
         event = self._waiters.get(job.id)
         if event is not None:
             event.set()
-        latency = job.latency()
-        if latency is not None:
-            self._m_latency.observe(latency)
-        if result is not None:
-            for phase, seconds in result.get("timings", {}).items():
-                self.metrics.histogram(
-                    f"repro_phase_{phase}_seconds",
-                    f"wall clock of the {phase} phase").observe(seconds)
-            count = result.get("parallel_count")
-            if isinstance(count, int):
-                self._m_loops_parallel.inc(count)
-            for reason, n in result.get("serial_reasons", {}).items():
-                self._m_loops_serial.inc(n, reason=reason)
 
     async def _sweep_loop(self) -> None:
         interval = max(0.1, self.heartbeat_timeout / 4)
@@ -1164,7 +1160,7 @@ class ClusterGateway:
             for job_id in sorted(node.running):
                 job = self._jobs.get(job_id)
                 if job is not None and job.state == JobState.RUNNING:
-                    self._m_running.dec()
+                    self.m.running.dec()
                     self._handle_crash(
                         job, f"worker node {name} stopped heartbeating")
             del self._nodes[name]
@@ -1185,11 +1181,7 @@ class ClusterGateway:
                 if stolen is not None:
                     claimed = [stolen]
             if not claimed:
-                try:
-                    await asyncio.wait_for(self._work_available.wait(),
-                                           0.2)
-                except TimeoutError:
-                    pass
+                await self._work_available.wait()
                 continue
             job = claimed[0]
             start = await self._op_work_start(
@@ -1199,9 +1191,9 @@ class ClusterGateway:
             outcome = "done"
             t0_wall, t0 = time.time(), time.perf_counter()
             try:
-                result, delta = await asyncio.to_thread(
-                    self.pool.run, run_job_observed,
-                    (job.payload, job.ctx), timeout=job.remaining())
+                result, delta = await self.pool.run_async(
+                    run_job_observed, (job.payload, job.ctx),
+                    timeout=job.remaining())
             except WorkerTimeout:
                 outcome = "timeout"
                 await self._op_work_fail(

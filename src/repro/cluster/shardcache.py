@@ -7,13 +7,13 @@ same length-prefixed JSON protocol the rest of the system speaks
 (``cache-get`` / ``cache-put`` / ``cache-stats`` / ``health`` /
 ``shutdown``).
 
-:class:`ShardedCache` is the client the gateway holds: it routes each
-payload digest over a :class:`repro.cluster.ring.HashRing` to one shard
-backend and mirrors the single-node ``ResultCache`` interface
-(``get``/``put``/``stats``), so the gateway's dedup/cache logic is the
-same code as the single-node daemon's.  Backends are either in-process
-(:class:`LocalShard`, unit tests and single-box deployments) or remote
-(:class:`RemoteShard`, a persistent reconnecting socket).
+:class:`ShardedCache` is the client the serving core holds: it routes
+each payload digest over a :class:`repro.cluster.ring.HashRing` to one
+shard backend and mirrors the ``ResultCache`` interface
+(``get``/``put``/``stats``), so one box and a shard fleet look the
+same to the core.  Backends are either in-process (:class:`LocalShard`,
+``repro serve`` and tests) or remote (:class:`RemoteShard`, a
+persistent reconnecting socket).
 
 Failure model: the cache is an optimization, never a correctness
 dependency.  A shard that is down makes ``get`` a miss and ``put`` a
@@ -73,6 +73,11 @@ class LocalShard:
         self.cache = cache if cache is not None \
             else ResultCache(capacity, directory=directory)
 
+    @property
+    def blocking(self) -> bool:
+        """Whether a call can wait on I/O (only with a disk tier)."""
+        return self.cache.directory is not None
+
     def get(self, digest: str, trace_ctx: Optional[Dict] = None
             ) -> Optional[Dict]:
         return self.cache.get(digest)
@@ -91,6 +96,8 @@ class LocalShard:
 class RemoteShard:
     """A shard reached over the wire: persistent socket, one reconnect
     attempt per request, :class:`ShardError` on failure."""
+
+    blocking = True
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self.host = host
@@ -212,12 +219,11 @@ class ShardedCache:
             self.add_shard(name, backend)
 
     def set_span_sink(self, sink) -> None:
-        """Route distributed spans to ``sink(spans, remote_wall)``.
-
-        Remote shards piggyback their own spans (recorded on the shard
-        node's clock — ``remote_wall`` lets the receiver estimate the
-        offset); local shards get a client-side span recorded here with
-        ``remote_wall=None`` (same clock, no skew)."""
+        """Route the spans remote shards piggyback on traced responses
+        to ``sink(spans, remote_wall)``; ``remote_wall`` (the shard
+        node's clock) lets the receiver estimate the offset.  Local
+        shards record nothing: the caller's own ``cache-lookup`` span
+        covers them."""
         with self._lock:
             self._span_sink = sink
             for backend in self._shards.values():
@@ -262,6 +268,12 @@ class ShardedCache:
     def replicas(self) -> int:
         return self._ring.replicas
 
+    @property
+    def blocking(self) -> bool:
+        """Whether any shard call can wait on sockets or disk."""
+        with self._lock:
+            return any(shard.blocking for shard in self._shards.values())
+
     def _route(self, digest: str):
         with self._lock:
             name = self._ring.node_for(digest)
@@ -269,27 +281,11 @@ class ShardedCache:
 
     # -- the ResultCache surface -------------------------------------
 
-    def _local_span(self, name: str, op: str, trace_ctx,
-                    t0_wall: float, duration: float, **args) -> None:
-        """Record a client-side span for a backend that cannot piggyback
-        its own (in-process LocalShard)."""
-        if trace_ctx is None or self._span_sink is None:
-            return
-        span = _cache_span(f"shard:{name}", op, trace_ctx, t0_wall,
-                           duration, **args)
-        if span is not None:
-            try:
-                self._span_sink([span], None)
-            except Exception:
-                pass
-
     def get(self, digest: str,
             trace_ctx: Optional[Dict] = None) -> Optional[Dict]:
         name, shard = self._route(digest)
         if shard is None:
             return None
-        remote = hasattr(shard, "on_spans")
-        t0_wall, t0 = time.time(), time.perf_counter()
         try:
             if trace_ctx is not None:
                 result = shard.get(digest, trace_ctx=trace_ctx)
@@ -299,10 +295,6 @@ class ShardedCache:
             self._m_requests.inc(shard=name, outcome="error")
             _log.warning("shard-get-failed", shard=name, error=str(exc))
             return None
-        if not remote:
-            self._local_span(name, "cache-get", trace_ctx, t0_wall,
-                             time.perf_counter() - t0,
-                             hit=result is not None)
         self._m_requests.inc(shard=name,
                              outcome="hit" if result is not None else "miss")
         return result
@@ -312,8 +304,6 @@ class ShardedCache:
         name, shard = self._route(digest)
         if shard is None:
             return
-        remote = hasattr(shard, "on_spans")
-        t0_wall, t0 = time.time(), time.perf_counter()
         try:
             if trace_ctx is not None:
                 shard.put(digest, result, trace_ctx=trace_ctx)
@@ -323,10 +313,15 @@ class ShardedCache:
             self._m_requests.inc(shard=name, outcome="error")
             _log.warning("shard-put-failed", shard=name, error=str(exc))
             return
-        if not remote:
-            self._local_span(name, "cache-put", trace_ctx, t0_wall,
-                             time.perf_counter() - t0)
         self._m_requests.inc(shard=name, outcome="put")
+
+    def sweep(self) -> int:
+        """Sweep the in-process shards' disk tiers (remote shard nodes
+        sweep their own at start); returns the entries removed."""
+        with self._lock:
+            shards = list(self._shards.values())
+        return sum(shard.cache.sweep() for shard in shards
+                   if isinstance(shard, LocalShard))
 
     def stats(self) -> Dict[str, int]:
         """Aggregate lookup counters across reachable shards (the
@@ -408,10 +403,12 @@ class CacheShardServer:
             return
         self._stop.set()
         if self._sock is not None:
+            # close() alone does not wake a thread blocked in accept()
             try:
-                self._sock.close()
+                self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._sock.close()
         for t in self._threads:
             if t is not threading.current_thread():
                 t.join(timeout=5.0)

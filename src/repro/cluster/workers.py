@@ -3,8 +3,8 @@
 A :class:`WorkerNode` is a separate process (usually a separate machine)
 that pulls leased jobs from the gateway, executes them in its own
 crash-isolated :class:`~repro.experiments.executor.WorkerPool`, and
-reports outcomes back — the distributed mirror of the single-node
-daemon's dispatcher threads:
+reports outcomes back — the remote counterpart of the gateway's
+embedded local workers:
 
 * each executor thread owns a private gateway connection and loops
   ``work-pull`` (long-poll) → ``work-start`` (lease check) → execute →

@@ -27,12 +27,13 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from functools import partial
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    TypeVar)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, TypeVar)
 
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
@@ -248,8 +249,9 @@ class WorkerPool:
     deadlines plus crash *reporting* instead of silent serial fallback:
 
     * ``run(fn, arg, timeout=...)`` blocks the calling thread until the
-      task finishes — concurrency comes from several dispatcher threads
-      sharing one pool;
+      task finishes — concurrency comes from several callers sharing one
+      pool (worker-node threads, or the serving core's local workers
+      awaiting ``run_async`` on its event loop);
     * a worker death surfaces as :class:`WorkerCrashError` and the pool
       is rebuilt, so the *next* task runs normally (ProcessPoolExecutor
       marks itself broken forever after one crash);
@@ -310,8 +312,34 @@ class WorkerPool:
         if pool is None:
             return fn(arg)  # inline mode; WorkerCrashError may propagate
         future = pool.submit(fn, arg)
-        try:
+        with self._mapping_failures(pool, future, timeout):
             return future.result(timeout=timeout)
+
+    async def run_async(self, fn: Callable[[T], R], arg: T,
+                        timeout: Optional[float] = None) -> R:
+        """:meth:`run` for an asyncio caller: the worker's future is
+        awaited on the event loop, with the same timeout and crash
+        mapping.  Inline mode runs ``fn`` in a thread so the loop keeps
+        serving."""
+        import asyncio  # here, so the batch drivers never import it
+        pool = self._ensure_pool()
+        if pool is None:
+            return await asyncio.to_thread(fn, arg)
+        future = pool.submit(fn, arg)
+        with self._mapping_failures(pool, future, timeout):
+            try:
+                return await asyncio.wait_for(asyncio.wrap_future(future),
+                                              timeout)
+            except asyncio.TimeoutError:  # not the same class before 3.11
+                raise FutureTimeoutError from None
+
+    @contextmanager
+    def _mapping_failures(self, pool: ProcessPoolExecutor, future: Future,
+                          timeout: Optional[float]) -> Iterator[None]:
+        """Turn a deadline miss into :class:`WorkerTimeout` and a dead
+        worker into :class:`WorkerCrashError`, recycling the pool."""
+        try:
+            yield
         except FutureTimeoutError:
             future.cancel()
             self._recycle(pool)
@@ -321,11 +349,12 @@ class WorkerPool:
             self._recycle(pool)
             raise WorkerCrashError("worker process died mid-task") from None
 
-    def shutdown(self) -> None:
+    def shutdown(self, wait: bool = False) -> None:
+        """Stop the pool; ``wait`` blocks until its processes are gone."""
         with self._lock:
-            if self._pool is not None:
-                try:
-                    self._pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                self._pool = None
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            try:
+                pool.shutdown(wait=wait, cancel_futures=True)
+            except Exception:
+                pass

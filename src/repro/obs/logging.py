@@ -20,7 +20,7 @@ and costs startup time on the hot path):
   travel in a :mod:`contextvars` context — :func:`log_context` pushes
   them, every record stamps the current set, and the executor/service
   boundary re-establishes them on the far side (see
-  ``experiments/executor.py`` and ``service/server.py``), so one grep
+  ``experiments/executor.py`` and ``service/execution.py``), so one grep
   for a ``run_id`` follows a benchmark from CLI submit through a pool
   worker to the cached result.
 
@@ -32,8 +32,10 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
 import uuid
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional
@@ -73,6 +75,12 @@ class RotatingFileSink:
       rotated), so late writers land in the fresh file instead of the
       renamed one forever.
 
+    Within one process the fd is shared, so one lock serializes the fd
+    swap (reopen, rotate, close) with the ``os.write``: a thread never
+    writes to an fd another thread has just closed or reused.  A forked
+    pool worker gets a fresh lock, since the thread that held the
+    parent's at fork time does not exist in the child.
+
     ``max_bytes <= 0`` disables rotation (plain bounded-risk append).
     """
 
@@ -82,6 +90,8 @@ class RotatingFileSink:
         self.keep = max(1, int(keep))
         self._fd: Optional[int] = None
         self._ino: Optional[int] = None
+        self._lock = threading.Lock()
+        _sinks.add(self)
 
     def _open(self) -> int:
         fd = os.open(self.path,
@@ -134,27 +144,29 @@ class RotatingFileSink:
 
     def write(self, text: str) -> None:
         data = text.encode("utf-8", "replace")
-        fd = self._current_fd()
-        if self.max_bytes > 0:
-            try:
-                size = os.fstat(fd).st_size
-            except OSError:
-                size = 0
-            if size > 0 and size + len(data) > self.max_bytes:
-                self._rotate()
-                fd = self._fd  # type: ignore[assignment]
-        os.write(fd, data)
+        with self._lock:
+            fd = self._current_fd()
+            if self.max_bytes > 0:
+                try:
+                    size = os.fstat(fd).st_size
+                except OSError:
+                    size = 0
+                if size > 0 and size + len(data) > self.max_bytes:
+                    self._rotate()
+                    fd = self._fd  # type: ignore[assignment]
+            os.write(fd, data)
 
     def flush(self) -> None:  # O_APPEND writes are unbuffered
         pass
 
     def close(self) -> None:
-        if self._fd is not None:
-            try:
-                os.close(self._fd)
-            except OSError:
-                pass
-            self._fd = None
+        with self._lock:
+            if self._fd is not None:
+                try:
+                    os.close(self._fd)
+                except OSError:
+                    pass
+                self._fd = None
 
     def generations(self) -> List[str]:
         """Existing files, newest first (live file, then .1, .2, ...)."""
@@ -164,6 +176,17 @@ class RotatingFileSink:
             if os.path.exists(path):
                 out.append(path)
         return out
+
+
+_sinks: "weakref.WeakSet[RotatingFileSink]" = weakref.WeakSet()
+
+
+def _reinit_sink_locks() -> None:
+    for sink in _sinks:
+        sink._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_sink_locks)
 
 
 def _env_int(name: str, default: int) -> int:

@@ -1,11 +1,11 @@
-"""Worker-side job execution, shared by every serving tier.
+"""Worker-side job execution, shared by every worker.
 
-The single-node daemon (:mod:`repro.service.server`), the cluster
-gateway's embedded dispatchers (:mod:`repro.cluster.gateway`), and the
-remote worker fleet (:mod:`repro.cluster.workers`) all run the same
-payloads the same way: :func:`execute_payload` interprets a submit
-payload, and :func:`run_job_observed` wraps it with correlation-ID
-propagation plus a metrics-registry delta for the parent to merge.
+The serving core's local workers (:mod:`repro.cluster.gateway`, which
+is also ``repro serve``) and the remote worker fleet
+(:mod:`repro.cluster.workers`) run the same payloads the same way:
+:func:`execute_payload` interprets a submit payload, and
+:func:`run_job_observed` wraps it with correlation-ID propagation plus
+a metrics-registry delta for the parent to merge.
 
 Everything here is module-level and picklable — it must cross the
 process-pool boundary intact.

@@ -1,4 +1,4 @@
-"""Job model and bounded FIFO queue for the parallelization service.
+"""Job model for the parallelization service.
 
 Lifecycle::
 
@@ -11,7 +11,7 @@ Lifecycle::
     queued --(cancel)--> canceled
 
 Deadlines are wall-clock budgets covering queue wait *plus* execution;
-a job that is already past its deadline when a dispatcher picks it up
+a job that is already past its deadline when a worker leases it
 times out without running.  Retries apply only to worker *crashes*
 (:class:`~repro.experiments.executor.WorkerCrashError`) — a task that
 raises an ordinary exception is deterministic and fails immediately.
@@ -24,7 +24,6 @@ import itertools
 import json
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -118,66 +117,3 @@ class Job:
             "error": self.error,
             "latency": self.latency(),
         }
-
-
-class QueueFullError(Exception):
-    """Backpressure: the bounded queue rejected a submission."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-class JobQueue:
-    """Bounded FIFO of :class:`Job` with explicit backpressure.
-
-    ``put`` rejects (never blocks) when the queue is at capacity, so a
-    flooded server answers "try later" instead of stalling every client
-    connection.  Crash retries re-enter with ``force=True`` — the job
-    was already admitted once; bouncing it on re-entry would turn a
-    transient worker death into a spurious rejection.
-    """
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-
-    def put(self, job: Job, force: bool = False) -> None:
-        with self._cond:
-            if self._closed:
-                raise QueueFullError("service is shutting down")
-            if not force and len(self._items) >= self.capacity:
-                raise QueueFullError(
-                    f"queue is full ({self.capacity} jobs waiting); "
-                    f"retry after the backlog drains")
-            self._items.append(job)
-            self._cond.notify()
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Next job, or None when the wait times out / the queue closes."""
-        with self._cond:
-            while not self._items:
-                if self._closed:
-                    return None
-                if not self._cond.wait(timeout=timeout):
-                    return None
-            return self._items.popleft()
-
-    def close(self) -> None:
-        """Stop accepting work and wake every blocked consumer."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._closed
-
-    def depth(self) -> int:
-        with self._cond:
-            return len(self._items)

@@ -30,7 +30,6 @@ def gateway():
     gw.start_background()
     yield gw
     gw.stop()
-    gw.wait(timeout=10)
 
 
 @pytest.fixture()
@@ -117,7 +116,6 @@ class TestClientSurface:
             assert excinfo.value.code == "backpressure"
         finally:
             gw.stop()
-            gw.wait(timeout=10)
 
     def test_shutdown_op_stops_gateway(self, gateway, client):
         response = client.shutdown()

@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.cluster.gateway import ClusterGateway
-from repro.obs import metrics as obs_metrics
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobState, payload_digest
 
@@ -406,7 +405,6 @@ def make_gateway():
     yield factory
     for gateway in gateways:
         gateway.stop()
-        gateway.wait(timeout=10)
 
 
 class TestEndToEnd:
@@ -498,10 +496,3 @@ class TestRegistryMergePath:
         assert response["state"] == "done"
         metrics = client.metrics()["metrics"]
         assert metrics["repro_loops_parallel_total"] > 0
-
-
-def test_obs_metrics_module_is_shared():
-    # the gateway merges worker deltas into the same default registry
-    # the single-node daemon uses; guard the import identity
-    from repro.service import metrics as service_metrics
-    assert service_metrics.get_registry() is obs_metrics.get_registry()

@@ -80,7 +80,6 @@ class TestRunLoadtest:
         gw.start_background()
         yield gw
         gw.stop()
-        gw.wait(timeout=10)
 
     def test_concurrent_sessions_zero_lost_zero_incorrect(self, gateway):
         host, port = gateway.address

@@ -26,7 +26,6 @@ def gateway():
     gw.start_background()
     yield gw
     gw.stop()
-    gw.wait(timeout=10)
 
 
 @pytest.fixture()

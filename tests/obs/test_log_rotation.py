@@ -1,7 +1,10 @@
 """Size-based log rotation: atomic keep-N generations, no interleave."""
 
 import os
+import signal
+import sys
 import threading
+import time
 
 from repro.obs.logging import RotatingFileSink
 
@@ -74,6 +77,67 @@ class TestRotatingFileSink:
         # that still exists, and the newest records always survive
         for tag in ("aa", "bb", "cc"):
             assert (tag, "049") in seen
+
+    def test_threads_racing_rotation_share_one_fd_safely(self, tmp_path):
+        """Eight writers on one sink, each write near the rotation bound
+        and the interpreter switching threads as often as it can: no
+        write may hit a closed or reused fd, and every line lands whole
+        in some generation."""
+        path = str(tmp_path / "repro.log")
+        sink = RotatingFileSink(path, max_bytes=2000, keep=1000)
+        errors = []
+
+        def writer(tag):
+            try:
+                for i in range(60):
+                    sink.write(f"{tag}:{i:03d}:" + "x" * 40 + "\n")
+            except Exception as exc:  # TypeError / EBADF before the fix
+                errors.append(exc)
+
+        tags = [f"t{n}" for n in range(8)]
+        threads = [threading.Thread(target=writer, args=(t,))
+                   for t in tags]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        sink.close()
+        assert errors == []
+        seen = set()
+        for f in sink.generations():
+            with open(f) as fh:
+                for line in fh:
+                    tag, num, body = line.rstrip("\n").split(":")
+                    assert line.endswith("\n") and body == "x" * 40
+                    seen.add((tag, int(num)))
+        assert seen == {(t, i) for t in tags for i in range(60)}
+
+    def test_forked_child_can_write_while_parent_holds_the_lock(
+            self, tmp_path):
+        path = str(tmp_path / "repro.log")
+        sink = RotatingFileSink(path)
+        with sink._lock:  # a parent thread mid-write at fork time
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    sink.write("child\n")
+                finally:
+                    os._exit(0)
+        deadline = time.monotonic() + 10
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise AssertionError("child deadlocked on the sink lock")
+            time.sleep(0.01)
+        sink.close()
+        with open(path) as fh:
+            assert fh.read() == "child\n"
 
     def test_follows_external_rotation(self, tmp_path):
         path = str(tmp_path / "repro.log")

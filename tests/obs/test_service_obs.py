@@ -5,14 +5,16 @@ service path.
 
 import pytest
 
+from repro.cluster.gateway import ClusterGateway
 from repro.experiments.pipeline import Config, clear_base_cache, run_config
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.perfect.suite import Benchmark, clear_program_cache
 from repro.service.client import ServiceClient
+from repro.service.execution import run_job_observed
 from repro.service.jobs import payload_digest
-from repro.service.server import ParallelizationServer, run_job_observed
+from tests.service.conftest import handle
 
 SOURCE = """      PROGRAM P
       COMMON /D/ A(40,4)
@@ -51,9 +53,11 @@ def registry():
 
 @pytest.fixture()
 def server(registry):
-    server = ParallelizationServer(port=0, jobs=2, inline=True,
-                                   retry_backoff=0.01)
-    server.start()
+    """``repro serve``'s core with two inline local workers."""
+    server = ClusterGateway(tier="single-node", local_workers=2,
+                            queue_capacity=64, inline=True,
+                            retry_backoff=0.01)
+    server.start_background()
     yield server
     server.stop()
 
@@ -92,9 +96,9 @@ class TestCtxPropagation:
         assert r2["cached"] or r2["job_id"] == r1["job_id"]
 
     def test_malformed_ctx_rejected(self, server):
-        response = server.handle_request(
-            {"op": "submit", "payload": _payload("bad"),
-             "ctx": {"run_id": {"nested": True}}})
+        response = handle(server, {
+            "op": "submit", "payload": _payload("bad"),
+            "ctx": {"run_id": {"nested": True}}})
         assert not response["ok"]
         assert response["code"] == "bad-request"
 
@@ -117,13 +121,12 @@ class TestMetricsOpUnion:
         response = client.submit(_payload("union"), wait=True,
                                  wait_timeout=30.0)
         assert response["state"] == "done"
-        answer = server.handle_request({"op": "metrics",
-                                        "format": "prometheus"})
+        answer = handle(server, {"op": "metrics", "format": "prometheus"})
         assert answer["ok"]
         text = answer["text"]
         assert "repro_jobs_submitted_total" in text   # service side
         assert "repro_loops_total" in text            # pipeline side
-        as_json = server.handle_request({"op": "metrics"})["metrics"]
+        as_json = handle(server, {"op": "metrics"})["metrics"]
         assert "repro_dep_tests_total" in as_json
 
 

@@ -92,10 +92,10 @@ class TestRunTop:
         assert "unreachable" in stream.getvalue()
 
     def test_renders_against_live_server(self, tmp_path):
-        from repro.service.server import ParallelizationServer
-        server = ParallelizationServer(host="127.0.0.1", port=0, jobs=1,
-                                       inline=True)
-        host, port = server.start()
+        from repro.cluster.gateway import ClusterGateway
+        server = ClusterGateway(tier="single-node", local_workers=1,
+                                inline=True)
+        host, port = server.start_background()
         try:
             stream = io.StringIO()
             rc = run_top(host, port, interval=0.0, iterations=1,

@@ -1,12 +1,6 @@
-"""Job model and bounded-queue semantics."""
+"""Job model semantics."""
 
-import threading
-import time
-
-import pytest
-
-from repro.service.jobs import (FINAL_STATES, Job, JobQueue, JobState,
-                                QueueFullError, payload_digest)
+from repro.service.jobs import FINAL_STATES, Job, JobState, payload_digest
 
 
 def _job(**kwargs):
@@ -63,54 +57,3 @@ class TestJob:
         snap = _job(deadline=5.0).snapshot()
         assert json.loads(json.dumps(snap)) == snap
         assert snap["state"] == "queued"
-
-
-class TestJobQueue:
-    def test_fifo_order(self):
-        q = JobQueue(capacity=10)
-        jobs = [_job() for _ in range(3)]
-        for j in jobs:
-            q.put(j)
-        assert [q.get(timeout=0.1).id for _ in jobs] == \
-            [j.id for j in jobs]
-
-    def test_backpressure_rejects_with_reason(self):
-        q = JobQueue(capacity=2)
-        q.put(_job())
-        q.put(_job())
-        with pytest.raises(QueueFullError, match="full"):
-            q.put(_job())
-        assert q.depth() == 2  # the rejected job was not admitted
-
-    def test_force_put_bypasses_capacity(self):
-        q = JobQueue(capacity=1)
-        q.put(_job())
-        q.put(_job(), force=True)  # a crash retry re-enters
-        assert q.depth() == 2
-
-    def test_get_timeout_returns_none(self):
-        q = JobQueue(capacity=1)
-        t0 = time.monotonic()
-        assert q.get(timeout=0.05) is None
-        assert time.monotonic() - t0 < 1.0
-
-    def test_close_wakes_blocked_consumer(self):
-        q = JobQueue(capacity=1)
-        got = []
-        t = threading.Thread(target=lambda: got.append(q.get(timeout=5)))
-        t.start()
-        time.sleep(0.05)
-        q.close()
-        t.join(timeout=2)
-        assert not t.is_alive()
-        assert got == [None]
-
-    def test_closed_queue_rejects_put(self):
-        q = JobQueue(capacity=4)
-        q.close()
-        with pytest.raises(QueueFullError, match="shutting down"):
-            q.put(_job())
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            JobQueue(capacity=0)

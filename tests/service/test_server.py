@@ -1,10 +1,14 @@
-"""Server tests: protocol ops, dedup, cache hits, backpressure,
-deadlines, crash retry, and the socket/client end-to-end paths.
+"""The wire contract of ``repro serve``: protocol ops, dedup, cache
+hits, backpressure, deadlines, crash retry, drain, and the
+socket/client end-to-end paths, all against the single serving core
+(see ``conftest.py``) through :class:`ServiceClient` and
+``handle_request``.
 
-Most tests run the server with ``inline=True`` (jobs execute in the
-dispatcher threads — deterministic and fast); the crash/deadline tests
-that need real worker processes use the process pool and skip if the
-sandbox cannot start one.
+Most tests run the core's local workers inline (jobs execute in
+threads — deterministic and fast); the crash/deadline tests that need
+real worker processes use the process pool and skip if the sandbox
+cannot start one.  ``TestExecutePayload`` and ``TestParallelizePayload``
+unit-test :func:`execute_payload` in-process, with no server.
 """
 
 import threading
@@ -13,8 +17,9 @@ import time
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.execution import execute_payload
 from repro.service.jobs import JobState
-from repro.service.server import ParallelizationServer, execute_payload
+from tests.service.conftest import handle
 
 SOURCE = """      PROGRAM P
       COMMON /D/ A(300,8), ROW(8)
@@ -57,7 +62,7 @@ def _sources_payload(tag="t0"):
             "name": tag}
 
 
-def _wait_state(server, job, state, timeout=5.0):
+def _wait_state(job, state, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if job.state == state:
@@ -66,23 +71,11 @@ def _wait_state(server, job, state, timeout=5.0):
     return False
 
 
-@pytest.fixture()
-def make_server():
-    servers = []
-
-    def factory(**kwargs):
-        kwargs.setdefault("port", 0)
-        kwargs.setdefault("jobs", 2)
-        kwargs.setdefault("inline", True)
-        kwargs.setdefault("retry_backoff", 0.01)
-        server = ParallelizationServer(**kwargs)
-        server.start()
-        servers.append(server)
-        return server
-
-    yield factory
-    for server in servers:
-        server.stop()
+def _submit(core, payload, **extra):
+    """Submit over ``handle_request``; the admitted (or joined) job."""
+    response = handle(core, {"op": "submit", "payload": payload, **extra})
+    assert response["ok"], response
+    return core.get_job(response["job_id"])
 
 
 class TestExecutePayload:
@@ -195,7 +188,7 @@ class TestParallelizePayload:
 class TestSubmitAndCache:
     def test_submit_runs_and_caches(self, make_server):
         server = make_server()
-        job = server.submit(_sources_payload())
+        job = _submit(server, _sources_payload())
         assert job.finished.wait(timeout=10)
         assert job.state == JobState.DONE
         assert job.result["parallel_count"] >= 2
@@ -204,7 +197,7 @@ class TestSubmitAndCache:
         assert metrics["repro_cache_hits_total"] == 0
 
         # identical resubmission: answered from the cache, no new run
-        repeat = server.submit(_sources_payload())
+        repeat = _submit(server, _sources_payload())
         assert repeat.state == JobState.DONE
         assert repeat.cached
         assert repeat.result == job.result
@@ -214,9 +207,9 @@ class TestSubmitAndCache:
 
     def test_different_config_is_a_different_job(self, make_server):
         server = make_server()
-        a = server.submit(_sources_payload())
+        a = _submit(server, _sources_payload())
         payload = dict(_sources_payload(), config="none")
-        b = server.submit(payload)
+        b = _submit(server, payload)
         assert a.digest != b.digest
         assert a.finished.wait(10) and b.finished.wait(10)
         assert a.result["output"] != b.result["output"]
@@ -224,15 +217,15 @@ class TestSubmitAndCache:
     def test_inflight_dedup(self, make_server):
         server = make_server()
         payload = _probe("sleep", seconds=0.3)
-        first = server.submit(payload)
-        second = server.submit(payload)  # same digest, still in flight
+        first = _submit(server, payload)
+        second = _submit(server, payload)  # same digest, still in flight
         assert second is first
         assert server.metrics.to_json()["repro_jobs_deduped_total"] == 1
         assert first.finished.wait(timeout=5)
 
     def test_phase_latency_histograms_populated(self, make_server):
         server = make_server()
-        job = server.submit(_sources_payload())
+        job = _submit(server, _sources_payload())
         assert job.finished.wait(timeout=10)
         metrics = server.metrics.to_json()
         assert metrics["repro_phase_dependence_seconds"]["count"] >= 1
@@ -242,12 +235,12 @@ class TestSubmitAndCache:
 class TestBackpressure:
     def test_full_queue_rejected_not_hung(self, make_server):
         server = make_server(jobs=1, queue_capacity=1)
-        running = server.submit(_probe("sleep", seconds=0.6, tag="a"))
-        assert _wait_state(server, running, JobState.RUNNING)
-        queued = server.submit(_probe("sleep", seconds=0.0, tag="b"))
-        response = server.handle_request(
-            {"op": "submit",
-             "payload": _probe("sleep", seconds=0.0, tag="c")})
+        running = _submit(server, _probe("sleep", seconds=0.6, tag="a"))
+        assert _wait_state(running, JobState.RUNNING)
+        queued = _submit(server, _probe("sleep", seconds=0.0, tag="b"))
+        response = handle(server, {
+            "op": "submit", "payload": _probe("sleep", seconds=0.0,
+                                              tag="c")})
         assert response["ok"] is False
         assert response["code"] == "backpressure"
         assert "full" in response["error"]
@@ -256,8 +249,8 @@ class TestBackpressure:
 
     def test_deadline_expires_while_queued(self, make_server):
         server = make_server(jobs=1)
-        server.submit(_probe("sleep", seconds=0.4, tag="busy"))
-        late = server.submit(_probe("echo", tag="late"), deadline=0.05)
+        _submit(server, _probe("sleep", seconds=0.4, tag="busy"))
+        late = _submit(server, _probe("echo", tag="late"), deadline=0.05)
         assert late.finished.wait(timeout=5)
         assert late.state == JobState.TIMEOUT
         assert "queued" in late.error
@@ -268,7 +261,7 @@ class TestCrashRetry:
                                                    tmp_path):
         server = make_server(jobs=1)
         marker = tmp_path / "crash.marker"
-        job = server.submit(_probe("crash-once", marker=str(marker)),
+        job = _submit(server, _probe("crash-once", marker=str(marker)),
                             max_retries=2)
         assert job.finished.wait(timeout=10)
         assert job.state == JobState.DONE
@@ -281,7 +274,7 @@ class TestCrashRetry:
         # no marker cleanup between attempts is needed: max_retries=0
         # means the first crash is final
         marker = tmp_path / "crash2.marker"
-        job = server.submit(_probe("crash-once", marker=str(marker)),
+        job = _submit(server, _probe("crash-once", marker=str(marker)),
                             max_retries=0)
         assert job.finished.wait(timeout=10)
         assert job.state == JobState.FAILED
@@ -294,7 +287,7 @@ class TestCrashRetry:
         marker = tmp_path / "kill.marker"
         # first attempt SIGKILLs the worker mid-run; the pool is rebuilt
         # and the retry completes
-        job = server.submit(_probe("crash-once", marker=str(marker)),
+        job = _submit(server, _probe("crash-once", marker=str(marker)),
                             max_retries=2)
         assert job.finished.wait(timeout=30)
         assert job.state == JobState.DONE
@@ -303,7 +296,7 @@ class TestCrashRetry:
 
     def test_deterministic_failure_not_retried(self, make_server):
         server = make_server(jobs=1)
-        job = server.submit({"kind": "benchmark",
+        job = _submit(server, {"kind": "benchmark",
                              "benchmark": "no-such-benchmark"})
         assert job.finished.wait(timeout=10)
         assert job.state == JobState.FAILED
@@ -315,12 +308,12 @@ class TestDeadlines:
         server = make_server(jobs=1, inline=False)
         if server.pool.inline:
             pytest.skip("process pool unavailable in this sandbox")
-        job = server.submit(_probe("sleep", seconds=1.2), deadline=0.2)
+        job = _submit(server, _probe("sleep", seconds=1.2), deadline=0.2)
         assert job.finished.wait(timeout=10)
         assert job.state == JobState.TIMEOUT
         assert "running" in job.error
         # the pool was recycled: the next job still runs
-        after = server.submit(_probe("echo", value="ok"))
+        after = _submit(server, _probe("echo", value="ok"))
         assert after.finished.wait(timeout=10)
         assert after.state == JobState.DONE
 
@@ -328,65 +321,60 @@ class TestDeadlines:
 class TestProtocolOps:
     def test_unknown_op(self, make_server):
         server = make_server()
-        response = server.handle_request({"op": "frobnicate"})
+        response = handle(server, {"op": "frobnicate"})
         assert response["ok"] is False and response["code"] == "bad-op"
 
     def test_submit_requires_payload(self, make_server):
         server = make_server()
-        response = server.handle_request({"op": "submit"})
+        response = handle(server, {"op": "submit"})
         assert response["ok"] is False and response["code"] == "bad-request"
 
     def test_status_unknown_job(self, make_server):
         server = make_server()
-        response = server.handle_request({"op": "status",
-                                          "job_id": "job-999999"})
+        response = handle(server, {"op": "status", "job_id": "job-999999"})
         assert response["ok"] is False and response["code"] == "not-found"
 
     def test_submit_status_result_flow(self, make_server):
         server = make_server()
-        submitted = server.handle_request(
-            {"op": "submit", "payload": _probe(value=7), "wait": True,
-             "wait_timeout": 10})
+        submitted = handle(server, {"op": "submit", "payload": _probe(value=7),
+                                    "wait": True, "wait_timeout": 10})
         assert submitted["ok"] and submitted["state"] == "done"
         assert submitted["result"] == {"echo": 7}
         job_id = submitted["job_id"]
-        status = server.handle_request({"op": "status", "job_id": job_id})
+        status = handle(server, {"op": "status", "job_id": job_id})
         assert status["ok"] and status["state"] == "done"
-        result = server.handle_request({"op": "result", "job_id": job_id})
+        result = handle(server, {"op": "result", "job_id": job_id})
         assert result["ok"] and result["result"] == {"echo": 7}
 
     def test_result_of_unfinished_job(self, make_server):
         server = make_server(jobs=1)
-        job = server.submit(_probe("sleep", seconds=0.5))
-        response = server.handle_request({"op": "result",
-                                          "job_id": job.id})
+        job = _submit(server, _probe("sleep", seconds=0.5))
+        response = handle(server, {"op": "result", "job_id": job.id})
         assert response["ok"] is False
         assert response["code"] in ("not-ready",)
 
     def test_cancel_queued_job(self, make_server):
         server = make_server(jobs=1)
-        busy = server.submit(_probe("sleep", seconds=0.5, tag="busy"))
-        assert _wait_state(server, busy, JobState.RUNNING)
-        queued = server.submit(_probe("echo", tag="victim"))
-        response = server.handle_request({"op": "cancel",
-                                          "job_id": queued.id})
+        busy = _submit(server, _probe("sleep", seconds=0.5, tag="busy"))
+        assert _wait_state(busy, JobState.RUNNING)
+        queued = _submit(server, _probe("echo", tag="victim"))
+        response = handle(server, {"op": "cancel", "job_id": queued.id})
         assert response["ok"] and response["canceled"] is True
         assert queued.state == JobState.CANCELED
         assert busy.finished.wait(timeout=5)
-        time.sleep(0.1)  # dispatcher must skip, not run, the canceled job
+        time.sleep(0.1)  # the worker must skip, not run, the canceled job
         assert queued.state == JobState.CANCELED
 
     def test_cancel_finished_job_refused(self, make_server):
         server = make_server()
-        job = server.submit(_probe(value=1))
+        job = _submit(server, _probe(value=1))
         assert job.finished.wait(timeout=5)
-        response = server.handle_request({"op": "cancel",
-                                          "job_id": job.id})
+        response = handle(server, {"op": "cancel", "job_id": job.id})
         assert response["canceled"] is False
 
     def test_health(self, make_server):
         server = make_server()
-        health = server.handle_request({"op": "health"})
+        health = handle(server, {"op": "health"})
         assert health["ok"]
         assert health["workers"] == 2
         assert health["queue_capacity"] == 64
@@ -394,13 +382,12 @@ class TestProtocolOps:
 
     def test_metrics_formats(self, make_server):
         server = make_server()
-        json_form = server.handle_request({"op": "metrics"})
+        json_form = handle(server, {"op": "metrics"})
         assert json_form["ok"]
         assert "repro_jobs_submitted_total" in json_form["metrics"]
-        prom = server.handle_request({"op": "metrics",
-                                      "format": "prometheus"})
+        prom = handle(server, {"op": "metrics", "format": "prometheus"})
         assert "# TYPE repro_jobs_submitted_total counter" in prom["text"]
-        bad = server.handle_request({"op": "metrics", "format": "xml"})
+        bad = handle(server, {"op": "metrics", "format": "xml"})
         assert bad["ok"] is False
 
 
@@ -453,7 +440,7 @@ class TestSocketEndToEnd:
         running = client.submit(_probe("sleep", seconds=0.6, tag="r"),
                                 wait=False)
         job = server.get_job(running["job_id"])
-        assert _wait_state(server, job, JobState.RUNNING)
+        assert _wait_state(job, JobState.RUNNING)
         client.submit(_probe("sleep", seconds=0.0, tag="q"), wait=False)
         with pytest.raises(ServiceError) as excinfo:
             client.submit(_probe("sleep", seconds=0.0, tag="rejected"),
@@ -529,12 +516,13 @@ class TestDrain:
 
     def test_draining_rejects_new_submits(self, make_server):
         server = make_server(jobs=1)
-        server.submit(_probe("sleep", seconds=0.2, tag="inflight"))
-        server._draining.set()
-        with pytest.raises(Exception, match="draining"):
-            server.submit(_probe(value="late"))
+        _submit(server, _probe("sleep", seconds=0.2, tag="inflight"))
+        server._draining = True
+        response = handle(server, {"op": "submit",
+                                   "payload": _probe(value="late")})
+        assert response["code"] == "backpressure"
+        assert "draining" in response["error"]
         assert server.metrics.to_json()["repro_jobs_rejected_total"] == 1
-        server._draining.clear()  # let the fixture stop() cleanly
 
 class TestTracedJobs:
     def _traced_payload(self):
@@ -542,24 +530,25 @@ class TestTracedJobs:
 
     def test_trace_attached_but_stripped_by_default(self, make_server):
         server = make_server()
-        submitted = server.handle_request(
-            {"op": "submit", "payload": self._traced_payload(),
-             "wait": True, "wait_timeout": 30})
+        submitted = handle(server, {"op": "submit",
+                                    "payload": self._traced_payload(),
+                                    "wait": True, "wait_timeout": 30})
         assert submitted["ok"] and submitted["state"] == "done"
         assert "trace" not in submitted["result"]
         # the stored result still has it, on request
-        result = server.handle_request(
-            {"op": "result", "job_id": submitted["job_id"],
-             "include_trace": True})
+        result = handle(server, {"op": "result",
+                                 "job_id": submitted["job_id"],
+                                 "include_trace": True})
         trace = result["result"]["trace"]
         assert trace["events"], "traced job produced no span events"
 
     def test_trace_decisions_match_parallel_count(self, make_server):
         from repro.trace import LoopDecision, count_parallel
         server = make_server()
-        response = server.handle_request(
-            {"op": "submit", "payload": self._traced_payload(),
-             "wait": True, "wait_timeout": 30, "include_trace": True})
+        response = handle(server, {"op": "submit",
+                                   "payload": self._traced_payload(),
+                                   "wait": True, "wait_timeout": 30,
+                                   "include_trace": True})
         result = response["result"]
         decisions = [LoopDecision.from_dict(d)
                      for d in result["trace"]["decisions"]]
@@ -568,20 +557,39 @@ class TestTracedJobs:
 
     def test_untraced_payload_carries_no_trace(self, make_server):
         server = make_server()
-        response = server.handle_request(
-            {"op": "submit", "payload": _sources_payload(tag="plain"),
-             "wait": True, "wait_timeout": 30, "include_trace": True})
+        response = handle(server, {"op": "submit",
+                                   "payload": _sources_payload(tag="plain"),
+                                   "wait": True, "wait_timeout": 30,
+                                   "include_trace": True})
         assert response["state"] == "done"
         assert "trace" not in response["result"]
 
     def test_phase_and_request_metrics_populated(self, make_server):
         server = make_server()
-        server.handle_request(
-            {"op": "submit", "payload": self._traced_payload(),
-             "wait": True, "wait_timeout": 30})
+        handle(server, {"op": "submit", "payload": self._traced_payload(),
+                        "wait": True, "wait_timeout": 30})
         metrics = server.metrics.to_json()
         assert metrics["repro_requests_total"] == {'{op="submit"}': 1}
         assert metrics["repro_request_seconds"]["count"] == 1
         assert metrics["repro_loops_parallel_total"] >= 1
-        health = server.handle_request({"op": "health"})
+        health = handle(server, {"op": "health"})
         assert health["cache_stats"]["misses"] == 1
+
+
+class TestStop:
+    def test_stop_is_prompt_and_leaves_nothing_running(self, make_server,
+                                                       caplog, capfd):
+        """``stop()`` returns once the loop thread and the worker pool
+        are gone — promptly, with nothing left to log an error later."""
+        server = make_server(jobs=1, inline=None)
+        response = ServiceClient(*server.address).submit(
+            _probe(value="once"), wait=True, wait_timeout=30)
+        assert response["state"] == "done"
+        t0 = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith("repro-")] == []
+        assert [r for r in caplog.records if r.levelname == "ERROR"] == []
+        err = capfd.readouterr().err
+        assert "Error" not in err and "Traceback" not in err, err

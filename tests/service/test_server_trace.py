@@ -1,11 +1,14 @@
-"""Daemon-side distributed tracing and the single-node telemetry op."""
+"""Distributed tracing and the telemetry op on ``repro serve``'s core.
+
+A traced submission records the ``cache-lookup`` → ``queue-wait`` →
+``execute`` chain under one ``job`` span — the chain ``perfbench`` and
+``repro trace-collect`` read.
+"""
 
 import time
 
-import pytest
-
 from repro.obs.distributed import TraceContext
-from repro.service.server import ParallelizationServer
+from tests.service.conftest import handle
 
 
 def _probe(op="echo", **extra):
@@ -14,23 +17,11 @@ def _probe(op="echo", **extra):
     return payload
 
 
-@pytest.fixture()
-def make_server():
-    servers = []
-
-    def factory(**kwargs):
-        kwargs.setdefault("port", 0)
-        kwargs.setdefault("jobs", 2)
-        kwargs.setdefault("inline", True)
-        kwargs.setdefault("retry_backoff", 0.01)
-        server = ParallelizationServer(**kwargs)
-        server.start()
-        servers.append(server)
-        return server
-
-    yield factory
-    for server in servers:
-        server.stop()
+def _submit(core, payload, trace_ctx=None):
+    response = handle(core, {"op": "submit", "payload": payload,
+                             "trace_ctx": trace_ctx})
+    assert response["ok"], response
+    return core.get_job(response["job_id"])
 
 
 def _trace_ctx():
@@ -39,7 +30,7 @@ def _trace_ctx():
 
 
 def _export(server, **extra):
-    response = server.handle_request({"op": "trace-export", **extra})
+    response = handle(server, {"op": "trace-export", **extra})
     assert response["ok"], response
     return response
 
@@ -48,7 +39,7 @@ class TestDaemonTracing:
     def test_traced_job_records_full_span_chain(self, make_server):
         server = make_server(jobs=1)
         root, ctx = _trace_ctx()
-        job = server.submit(_probe(value=1), trace_ctx=ctx)
+        job = _submit(server, _probe(value=1), trace_ctx=ctx)
         assert job.finished.wait(timeout=5)
         # the job span closes when the result is recorded
         time.sleep(0.05)
@@ -72,25 +63,25 @@ class TestDaemonTracing:
     def test_job_carries_child_trace_ctx(self, make_server):
         server = make_server()
         root, ctx = _trace_ctx()
-        job = server.submit(_probe(value=2), trace_ctx=ctx)
+        job = _submit(server, _probe(value=2), trace_ctx=ctx)
         carried = TraceContext.from_dict(job.trace_ctx)
         assert carried.trace_id == root.trace_id
         assert carried.span_id != root.span_id
 
     def test_untraced_job_records_nothing(self, make_server):
         server = make_server()
-        job = server.submit(_probe(value=3))
+        job = _submit(server, _probe(value=3))
         assert job.finished.wait(timeout=5)
         assert job.trace_ctx is None
         assert _export(server)["spans"] == []
 
     def test_cache_hit_records_lookup_and_job_span(self, make_server):
         server = make_server()
-        first = server.submit(_probe(value=4),
-                              trace_ctx=_trace_ctx()[1])
+        first = _submit(server, _probe(value=4),
+                        trace_ctx=_trace_ctx()[1])
         assert first.finished.wait(timeout=5)
         root2, ctx2 = _trace_ctx()
-        second = server.submit(_probe(value=4), trace_ctx=ctx2)
+        second = _submit(server, _probe(value=4), trace_ctx=ctx2)
         assert second.cached is True
         export = _export(server, trace_id=root2.trace_id)
         by_name = {s["name"]: s for s in export["spans"]}
@@ -100,9 +91,9 @@ class TestDaemonTracing:
 
     def test_malformed_trace_ctx_rejected_over_protocol(self, make_server):
         server = make_server()
-        response = server.handle_request(
-            {"op": "submit", "payload": _probe(),
-             "trace_ctx": {"traceparent": "zz-bad"}})
+        response = handle(server, {
+            "op": "submit", "payload": _probe(),
+            "trace_ctx": {"traceparent": "zz-bad"}})
         assert response["ok"] is False
         assert response["code"] == "bad-request"
 
@@ -111,14 +102,14 @@ class TestDaemonTracing:
         root_a, ctx_a = _trace_ctx()
         root_b, ctx_b = _trace_ctx()
         for ctx, value in ((ctx_a, "a"), (ctx_b, "b")):
-            job = server.submit(_probe(value=value), trace_ctx=ctx)
+            job = _submit(server, _probe(value=value), trace_ctx=ctx)
             assert job.finished.wait(timeout=5)
         export = _export(server, trace_id=root_a.trace_id)
         assert {s["trace_id"] for s in export["spans"]} \
             == {root_a.trace_id}
         assert sorted(_export(server)["trace_ids"]) \
             == sorted([root_a.trace_id, root_b.trace_id])
-        bad = server.handle_request({"op": "trace-export", "trace_id": 9})
+        bad = handle(server, {"op": "trace-export", "trace_id": 9})
         assert bad["ok"] is False and bad["code"] == "bad-request"
 
     def test_traced_pipeline_job_links_decisions(self, make_server):
@@ -135,11 +126,11 @@ class TestDaemonTracing:
 """
         server = make_server()
         root, ctx = _trace_ctx()
-        job = server.submit({"kind": "sources",
-                             "sources": {"p.f": source},
-                             "config": "none", "trace": True,
-                             "name": "traced"},
-                            trace_ctx=ctx)
+        job = _submit(server, {"kind": "sources",
+                               "sources": {"p.f": source},
+                               "config": "none", "trace": True,
+                               "name": "traced"},
+                      trace_ctx=ctx)
         assert job.finished.wait(timeout=30)
         assert job.state == "done", job.error
         export = _export(server)
@@ -157,9 +148,9 @@ class TestDaemonTracing:
 class TestTelemetryOp:
     def test_single_node_snapshot(self, make_server):
         server = make_server()
-        job = server.submit(_probe(value=5), trace_ctx=_trace_ctx()[1])
+        job = _submit(server, _probe(value=5), trace_ctx=_trace_ctx()[1])
         assert job.finished.wait(timeout=5)
-        frame = server.handle_request({"op": "telemetry"})
+        frame = handle(server, {"op": "telemetry"})
         assert frame["ok"] and frame["tier"] == "single-node"
         assert frame["run_id"] == server.run_id
         snapshot = frame["snapshot"]
@@ -168,7 +159,8 @@ class TestTelemetryOp:
         assert frame["spans_stored"] >= 1
 
     def test_snapshots_accumulate_in_store(self, make_server):
-        server = make_server()
-        server.handle_request({"op": "telemetry"})
-        server.handle_request({"op": "telemetry"})
+        # no background snapshot may land between the two requests
+        server = make_server(telemetry_interval=600)
+        handle(server, {"op": "telemetry"})
+        handle(server, {"op": "telemetry"})
         assert len(server.telemetry.snapshots()) == 2

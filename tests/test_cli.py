@@ -312,9 +312,10 @@ class TestJobsErrors:
 
 @pytest.fixture()
 def service(tmp_path):
-    from repro.service.server import ParallelizationServer
-    server = ParallelizationServer(port=0, jobs=2, inline=True)
-    host, port = server.start()
+    from repro.cluster.gateway import ClusterGateway
+    server = ClusterGateway(tier="single-node", local_workers=2,
+                            inline=True)
+    host, port = server.start_background()
     yield server, host, port
     server.stop()
 

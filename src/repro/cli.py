@@ -105,39 +105,6 @@ def _select_benchmarks(args):
     return [get_benchmark(name) for name in names]
 
 
-def _pipeline(program: Program, registry, config: str,
-              annotations_mode: str = "hand", tracer=None):
-    from repro.annotations import AnnotationInliner, ReverseInliner
-    from repro.inlining import ConventionalInliner
-    from repro.polaris import Polaris
-    t0 = perf_counter()
-    demand = None
-    if config == "conventional":
-        ConventionalInliner().run(program)
-    elif config == "annotation":
-        if annotations_mode != "hand":
-            from repro.annotations.infer import infer_annotations
-            from repro.inlining.demand import DemandInliner
-            hand = registry if annotations_mode == "demand" else None
-            inference = infer_annotations(program, hand=hand)
-            registry = inference.registry()
-            if annotations_mode == "demand":
-                demand = DemandInliner(
-                    registry, inference=inference,
-                    hand_names=frozenset(hand.names()))
-        if demand is None:
-            AnnotationInliner(registry).run(program)
-    inline_seconds = perf_counter() - t0
-    report = Polaris(demand=demand).run(program, tracer)
-    if config != "none":
-        report.add_timing("inline", inline_seconds)
-    if config == "annotation":
-        t0 = perf_counter()
-        ReverseInliner(registry).run(program)
-        report.add_timing("reverse", perf_counter() - t0)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -145,6 +112,7 @@ def _pipeline(program: Program, registry, config: str,
 def cmd_parallelize(args) -> int:
     if getattr(args, "tolerant", False) or getattr(args, "json", False):
         return _cmd_parallelize_tolerant(args)
+    from repro.fortran.fixedform.pipeline import run_pipeline
     t0 = perf_counter()
     program = _load_program(args.files)
     parse_seconds = perf_counter() - t0
@@ -153,8 +121,8 @@ def cmd_parallelize(args) -> int:
     if getattr(args, "explain", False):
         from repro.trace import Tracer
         tracer = Tracer(label="parallelize")
-    report, cprofile_text = _maybe_cprofile(
-        args, _pipeline, program, registry, args.config,
+    (report, _), cprofile_text = _maybe_cprofile(
+        args, run_pipeline, program, registry, args.config,
         getattr(args, "annotations_mode", "hand"), tracer)
     report.add_timing("parse", parse_seconds)
     text = "".join(program.unparse().values())
@@ -224,12 +192,13 @@ def cmd_report(args) -> int:
         print("repro report: needs source files (or --out FILE for the "
               "HTML dashboard)", file=sys.stderr)
         return 2
+    from repro.fortran.fixedform.pipeline import run_pipeline
     t0 = perf_counter()
     program = _load_program(args.files)
     parse_seconds = perf_counter() - t0
     registry = _load_registry(args.annotations)
-    report, cprofile_text = _maybe_cprofile(
-        args, _pipeline, program, registry, args.config,
+    (report, _), cprofile_text = _maybe_cprofile(
+        args, run_pipeline, program, registry, args.config,
         getattr(args, "annotations_mode", "hand"))
     report.add_timing("parse", parse_seconds)
     if args.profile or cprofile_text:
@@ -279,11 +248,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from repro.fortran.fixedform.pipeline import run_pipeline
     from repro.runtime import diff_test
     program = _load_program(args.files)
     registry = _load_registry(args.annotations)
-    report = _pipeline(program, registry, args.config,
-                       getattr(args, "annotations_mode", "hand"))
+    report, _ = run_pipeline(program, registry, args.config,
+                             getattr(args, "annotations_mode", "hand"))
     result = diff_test(program, _machine("intel-mac"),
                        inputs=[float(x) for x in args.inputs])
     print(f"{report.parallel_count()} loops parallelized; "

@@ -7,7 +7,10 @@ code produced by the inliners.
 
 Public entry points:
 
-* :func:`repro.fortran.parser.parse_source` — source text -> :class:`ast.SourceFile`
+* :func:`repro.fortran.parser.parse_source` — source text -> :class:`ast.SourceFile`,
+  raising on the first diagnostic
+* :func:`repro.fortran.parser.parse_source_tolerant` — the same parse,
+  returning ``(SourceFile, [Diagnostic])`` instead of raising
 * :func:`repro.fortran.unparser.unparse` — AST -> fixed-form source text
 """
 

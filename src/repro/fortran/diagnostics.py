@@ -1,10 +1,14 @@
-"""Structured diagnostics for the tolerant fixed-form frontend.
+"""Structured diagnostics for the fixed-form frontend.
 
-Every recovery action the tolerant reader/classifier/structurer takes is
-recorded as one :class:`Diagnostic`: a *stable short code* (the corpus
-expectation files match on it), a human message, the card position
-(1-based line, 1-based column where known), the offending source excerpt
-and a severity.
+Every recovery action the reader/classifier/structurer takes is reported
+to a :class:`DiagnosticSink` as one :class:`Diagnostic`: a *stable short
+code* (the corpus expectation files match on it), a human message, the
+card position (1-based line, 1-based column where known), the offending
+source excerpt and a severity.
+
+Strictness is the sink's policy.  :class:`DiagnosticSink` collects every
+diagnostic (the tolerant parse); :class:`RaisingSink` raises on the
+first diagnostic of any severity (the strict parse).
 
 Severities:
 
@@ -22,14 +26,18 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
-from repro.errors import ReproError, SourceLocation
+from repro.errors import LexError, ParseError, ReproError, SourceLocation
 
 SEVERITIES = ("recovered", "skipped", "note")
+
+#: card-level codes; a strict parse raises them as :class:`LexError`
+LEX_CODES = frozenset({"orphan-continuation", "directive-in-continuation",
+                       "bad-label", "unterminated-literal"})
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One recovery action taken by the tolerant frontend."""
+    """One recovery action taken by the frontend."""
 
     code: str                  # stable short code, e.g. "parse-error"
     message: str
@@ -106,3 +114,23 @@ class DiagnosticSink:
 
     def __iter__(self):
         return iter(self.items)
+
+
+class RaisingSink(DiagnosticSink):
+    """The strict policy: raise on the first diagnostic of any severity.
+
+    A diagnostic built from a caught error re-raises that error, which
+    keeps its class, column and excerpt; any other diagnostic raises
+    :class:`LexError` for a card-level code and :class:`ParseError`
+    otherwise.
+    """
+
+    def add(self, diag: Diagnostic) -> None:
+        cls = LexError if diag.code in LEX_CODES else ParseError
+        raise cls(diag.message,
+                  SourceLocation(diag.file, diag.line, diag.column),
+                  excerpt=diag.excerpt or None)
+
+    def error(self, err: ReproError, code: str,
+              severity: str = "recovered") -> None:
+        raise err

@@ -1,25 +1,26 @@
-"""Tolerant fixed-form Fortran frontend.
+"""Real-world fixed-form Fortran ingestion.
 
-The strict frontend (:mod:`repro.fortran.parser`) fails fast — right for
-the curated PERFECT-style inputs the experiments replay, wrong for
-ingesting arbitrary real-world Fortran 77.  This package layers recovery
-on top of the same statement-classification tables:
+The frontend itself lives in :mod:`repro.fortran.parser`: one parse that
+reports every malformed construct to a diagnostic sink.  This package
+exposes its tolerant face:
 
-* :func:`tolerant_read` repairs malformed cards (labels, continuations);
-* :func:`parse_source_tolerant` boxes unclassifiable statements as
-  :class:`~repro.fortran.ast.Opaque` markers and implicitly closes
-  unterminated blocks, recording every action as a :class:`Diagnostic`;
+* :func:`parse_source_tolerant` repairs malformed cards, boxes
+  unclassifiable statements as :class:`~repro.fortran.ast.Opaque`
+  markers and implicitly closes unterminated blocks, recording every
+  action as a :class:`Diagnostic`;
 * :func:`parallelize_source` runs the full paper pipeline (parse ->
   annotation inference -> Polaris -> OpenMP unparse) over the tolerant
   tree and returns annotated source plus per-loop decision records.
 
-See ``docs/frontend.md`` for the dialect table and recovery semantics.
+The strict :func:`repro.fortran.parser.parse_source` is the same parse
+with a sink that raises on the first diagnostic.  See
+``docs/frontend.md`` for the dialect table and recovery semantics.
 """
 
-from .diagnostics import SEVERITIES, Diagnostic, DiagnosticSink
-from .parser import parse_source_tolerant
+from repro.fortran.diagnostics import SEVERITIES, Diagnostic, DiagnosticSink
+from repro.fortran.parser import parse_source_tolerant
+
 from .pipeline import parallelize_source
-from .reader import tolerant_read
 
 __all__ = [
     "Diagnostic",
@@ -27,5 +28,4 @@ __all__ = [
     "SEVERITIES",
     "parallelize_source",
     "parse_source_tolerant",
-    "tolerant_read",
 ]

@@ -1,14 +1,18 @@
-"""End-to-end ``parallelize_source``: tolerant parse -> inline ->
-Polaris -> OpenMP unparse, with per-loop explanations.
+"""The file-level pipeline: inline -> Polaris -> reverse-inline.
 
-This is the service/CLI entry point behind ``repro parallelize FILE.f``
-and the ``{"kind": "parallelize"}`` job payload.  Unlike the strict
-pipeline (:func:`repro.cli._pipeline` over :class:`repro.program.Program`),
-it accepts real-world fixed-form input: dialect constructs the strict
-frontend rejects become conservative IR (EQUIVALENCE, computed/assigned
-GOTO, ENTRY, alternate returns, CHARACTER substrings), and outright
-malformed statements become :class:`~repro.fortran.ast.Opaque` markers —
-both analyzed as "may touch anything", so every verdict stays sound.
+:func:`run_pipeline` is the one dispatch over the inlining
+configuration (``none`` / ``conventional`` / ``annotation``) and the
+annotation source (``hand`` / ``inferred`` / ``demand``); the CLI, the
+fuzz oracle and :func:`parallelize_source` all run it.
+
+:func:`parallelize_source` is the service/CLI entry point behind
+``repro parallelize FILE.f`` and the ``{"kind": "parallelize"}`` job
+payload: tolerant parse -> :func:`run_pipeline` -> OpenMP unparse, with
+per-loop explanations.  It accepts real-world fixed-form input: dialect
+constructs become conservative IR (EQUIVALENCE, computed/assigned GOTO,
+ENTRY, alternate returns, CHARACTER substrings), and outright malformed
+statements become :class:`~repro.fortran.ast.Opaque` markers — both
+analyzed as "may touch anything", so every verdict stays sound.
 
 The returned mapping is JSON-ready (service responses forward it as-is):
 
@@ -29,14 +33,49 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Optional
 
-from repro.errors import ReproError
 from repro.fortran import ast
+from repro.fortran.parser import parse_source_tolerant
 from repro.program import Program
 from repro.trace import Tracer
 
-from .parser import parse_source_tolerant
+__all__ = ["parallelize_source", "run_pipeline"]
 
-__all__ = ["parallelize_source"]
+
+def run_pipeline(program: Program, registry, config: str,
+                 annotations_mode: str = "hand", tracer=None):
+    """Transform ``program`` in place for one configuration and return
+    ``(report, registry)``, where ``registry`` is the annotation registry
+    the pipeline used (the inferred one unless ``annotations_mode`` is
+    ``hand``).  The report carries ``inline``/``reverse`` timings."""
+    from repro.annotations import AnnotationInliner, ReverseInliner
+    from repro.inlining import ConventionalInliner
+    from repro.polaris import Polaris
+    t0 = perf_counter()
+    demand = None
+    if config == "conventional":
+        ConventionalInliner().run(program)
+    elif config == "annotation":
+        if annotations_mode != "hand":
+            from repro.annotations.infer import infer_annotations
+            from repro.inlining.demand import DemandInliner
+            hand = registry if annotations_mode == "demand" else None
+            inference = infer_annotations(program, hand=hand)
+            registry = inference.registry()
+            if annotations_mode == "demand":
+                demand = DemandInliner(
+                    registry, inference=inference,
+                    hand_names=frozenset(hand.names()))
+        if demand is None:
+            AnnotationInliner(registry).run(program)
+    inline_seconds = perf_counter() - t0
+    report = Polaris(demand=demand).run(program, tracer)
+    if config != "none":
+        report.add_timing("inline", inline_seconds)
+    if config == "annotation":
+        t0 = perf_counter()
+        ReverseInliner(registry).run(program)
+        report.add_timing("reverse", perf_counter() - t0)
+    return report, registry
 
 
 def _build_program(sources: Dict[str, str], tolerant: bool,
@@ -68,10 +107,7 @@ def parallelize_source(sources: Dict[str, str],
     :class:`~repro.errors.ReproError` only in strict mode
     (``tolerant=False``) on the first frontend error.
     """
-    from repro.annotations import (AnnotationInliner, AnnotationRegistry,
-                                   ReverseInliner)
-    from repro.inlining import ConventionalInliner
-    from repro.polaris import Polaris
+    from repro.annotations import AnnotationRegistry
 
     diagnostics: List[dict] = []
     t0 = perf_counter()
@@ -81,26 +117,8 @@ def parallelize_source(sources: Dict[str, str],
     registry = (AnnotationRegistry.from_text(annotations_text)
                 if annotations_text else AnnotationRegistry())
     tracer = tracer or Tracer(label="parallelize")
-
-    demand = None
-    if config == "conventional":
-        ConventionalInliner().run(program)
-    elif config == "annotation":
-        if annotations_mode != "hand":
-            from repro.annotations.infer import infer_annotations
-            from repro.inlining.demand import DemandInliner
-            hand = registry if annotations_mode == "demand" else None
-            inference = infer_annotations(program, hand=hand)
-            registry = inference.registry()
-            if annotations_mode == "demand":
-                demand = DemandInliner(
-                    registry, inference=inference,
-                    hand_names=frozenset(hand.names()))
-        if demand is None:
-            AnnotationInliner(registry).run(program)
-    report = Polaris(demand=demand).run(program, tracer)
-    if config == "annotation":
-        ReverseInliner(registry).run(program)
+    report, _ = run_pipeline(program, registry, config, annotations_mode,
+                             tracer)
     report.add_timing("parse", parse_seconds)
 
     loops = []

@@ -5,13 +5,22 @@ Parsing proceeds in three stages:
 1. :func:`repro.fortran.source.read_logical_lines` merges continuations and
    extracts structured comments (OpenMP directives and inline tags);
 2. each logical line is *classified* and parsed into a flat item — either a
-   complete simple statement, or a structural marker (DO header, IF header,
-   ELSE, ENDIF, ENDDO, END, directive);
+   unit header, a complete simple statement, or a structural marker (DO
+   header, IF header, ELSE, ENDIF, ENDDO, END, directive);
 3. a structurer turns the flat item list into nested
    :class:`~repro.fortran.ast.Stmt` blocks, resolving classic
    label-terminated DO loops (including nests sharing one terminator, the
    ``DO 200 ... DO 200 ... 200 CONTINUE`` idiom from the paper's Figure 2),
    block IFs, OpenMP ``PARALLEL DO`` wrappers and inline-tag blocks.
+
+There is one parse.  Every stage reports malformed input to a
+:class:`~repro.fortran.diagnostics.DiagnosticSink` and repairs it: a bad
+card is fixed up, a statement that fails to parse becomes an
+:class:`~repro.fortran.ast.Opaque` marker, an unterminated block is
+closed at the end of its enclosing block, and a stray closer or a
+statement outside any unit is skipped.  Strictness is the sink's policy:
+:func:`parse_source_tolerant` collects the diagnostics, and
+:func:`parse_source` raises on the first one of any severity.
 
 The expression grammar is standard Fortran 77 precedence; ``NAME(args)``
 is parsed as :class:`~repro.fortran.ast.ArrayRef` and later reclassified by
@@ -24,8 +33,9 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import ParseError, SourceLocation
+from repro.errors import LexError, ParseError, ReproError, SourceLocation
 from repro.fortran import ast
+from repro.fortran.diagnostics import Diagnostic, DiagnosticSink, RaisingSink
 from repro.fortran.lexer import tokenize
 from repro.fortran.source import (Directive, LogicalLine, condense,
                                   condense_with_map, read_logical_lines)
@@ -227,7 +237,7 @@ def parse_expression(text: str,
                      location: Optional[SourceLocation] = None) -> ast.Expr:
     """Parse a standalone expression from (possibly spaced) source text."""
     location = location or SourceLocation()
-    p = _ExprParser(tokenize(condense(text), location), location)
+    p = _ExprParser(tokenize(condense(text, location), location), location)
     e = p.expression()
     if not p.at_end():
         raise ParseError(f"trailing tokens after expression in {text!r}",
@@ -243,8 +253,8 @@ def parse_expression(text: str,
 class _Flat:
     """One element of the flat statement stream fed to the structurer."""
 
-    kind: str  # stmt | do | if | elseif | else | endif | enddo | end
-    #            | omp | tag_begin | tag_end
+    kind: str  # unit | stmt | decl | do | if | elseif | else | endif
+    #            | enddo | end | omp | tag_begin | tag_end
     label: Optional[int] = None
     stmt: Optional[ast.Stmt] = None
     # do headers
@@ -278,23 +288,52 @@ _LENGTH_SPEC_RE = re.compile(r"^\*(?:(\d+)|\((\d+)\)|\((\*)\))")
 
 
 class _StatementClassifier:
-    """Parses one condensed logical line into flat items."""
+    """Parses one logical line into flat items.
 
-    def __init__(self, filename: str):
-        self.filename = filename
+    A statement that fails to parse is reported to the sink and boxed as
+    an :class:`~repro.fortran.ast.Opaque` marker carrying the raw card
+    text; analyses treat Opaque as "may read or write anything", so the
+    recovery is conservative, never unsound.
+    """
+
+    def __init__(self, sink: DiagnosticSink):
+        self.sink = sink
 
     def classify(self, line: LogicalLine) -> List[_Flat]:
         loc = line.location
+        text, _, open_quote = condense_with_map(line.text)
+        header = _UNIT_HEADER_RE.match(text) if text else None
+        if header:
+            # directives before a unit header are not meaningful; drop them
+            params = header.group(4)[1:-1].split(",") if header.group(4) \
+                else []
+            unit = ast.ProgramUnit(header.group(2), header.group(3),
+                                   [p for p in params if p], [], [],
+                                   _TYPE_KEYWORDS.get(header.group(1) or "",
+                                                      ""))
+            return [_Flat("unit", stmt=unit, location=loc)]
         out: List[_Flat] = []
         for d in line.leading:
-            out.extend(self._directive(d, loc))
-        text = condense(line.text)
+            try:
+                out.extend(self._directive(d, loc))
+            except ParseError as e:
+                self.sink.error(e, "bad-directive", severity="skipped")
         if not text:
             return out
         try:
+            if open_quote >= 0:
+                err = LexError(f"unterminated character literal "
+                               f"{text[open_quote:]!r}", loc)
+                err.condensed_offset = open_quote  # type: ignore[attr-defined]
+                raise err
             flat = self._statement(text, line.label, loc)
-        except ParseError as e:
-            raise _enrich_parse_error(e, line) from e
+        except (LexError, ParseError) as e:
+            code = ("unterminated-literal" if isinstance(e, LexError)
+                    else "parse-error")
+            self.sink.error(_locate(e, line), code)
+            flat = _Flat("stmt", label=line.label, location=loc,
+                         stmt=ast.Opaque(text=line.text.strip(), reason=code,
+                                         label=line.label))
         if flat is not None:
             out.append(flat)
         return out
@@ -309,7 +348,7 @@ class _StatementClassifier:
             return [_Flat("tag_begin", text=body[5:].strip(), location=loc)]
         if upper.startswith("END"):
             return [_Flat("tag_end", text=body[3:].strip(), location=loc)]
-        raise ParseError(f"unknown inline tag {body!r}", loc)
+        raise ParseError(f"unknown inline tag {body!r}", loc, excerpt=d.text)
 
     # -- statements ---------------------------------------------------
     def _statement(self, text: str, label: Optional[int],
@@ -517,7 +556,10 @@ class _StatementClassifier:
             rest = text[6:]
             block = ""
             if rest.startswith("/"):
-                j = rest.index("/", 1)
+                j = rest.find("/", 1)
+                if j < 0:
+                    raise ParseError(f"unterminated COMMON block name in "
+                                     f"{text!r}", loc)
                 block = rest[1:j]
                 rest = rest[j + 1:]
             return ast.CommonDecl(block, self._entity_list(rest, loc))
@@ -732,25 +774,19 @@ class _StatementClassifier:
         return e.value
 
 
-def _enrich_parse_error(e: ParseError, line: LogicalLine) -> ParseError:
+def _locate(e: ReproError, line: LogicalLine) -> ReproError:
     """Attach the offending source excerpt and a card column to a
     classification error (service responses render ``payload()``, which
     would otherwise lose the source line entirely)."""
     if e.excerpt is not None:
         return e
-    _, cmap = condense_with_map(line.text)
+    _, cmap, _ = condense_with_map(line.text)
     offset = getattr(e, "condensed_offset", 0)
-    if cmap:
-        offset = min(max(offset, 0), len(cmap) - 1)
-        column = 7 + cmap[offset]
-    else:
-        column = 7
+    column = 7 + cmap[min(max(offset, 0), len(cmap) - 1)] if cmap else 7
     loc = e.location or line.location
-    enriched = ParseError(
-        e.bare_message,
-        SourceLocation(loc.filename, loc.line, column),
-        excerpt=line.text.rstrip())
-    return enriched
+    return type(e)(e.bare_message,
+                   SourceLocation(loc.filename, loc.line, column),
+                   excerpt=line.text.rstrip())
 
 
 def _subst_const(e: ast.Expr, env: dict) -> ast.Expr:
@@ -862,10 +898,16 @@ def _balanced_paren(text: str, loc: SourceLocation) -> Tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 class _Structurer:
-    """Builds nested statement blocks from the flat item stream."""
+    """Builds nested statement blocks from the flat item stream.
 
-    def __init__(self, items: List[_Flat]):
+    A missing terminator closes its block at the end of the *enclosing*
+    region (which is how most real compilers recover) and an unexpected
+    closer is dropped; both are reported to the sink.
+    """
+
+    def __init__(self, items: List[_Flat], sink: DiagnosticSink):
         self.items = items
+        self.sink = sink
 
     def build(self, lo: int, hi: int) -> List[ast.Stmt]:
         out: List[ast.Stmt] = []
@@ -888,35 +930,42 @@ class _Structurer:
             return self._omp(i, hi)
         if it.kind == "tag_begin":
             return self._tagged(i, hi)
-        if it.kind == "tag_end":
-            raise ParseError(f"unmatched inline END tag {it.text!r}",
-                             it.location)
-        if it.kind in ("endif", "else", "elseif", "enddo", "end"):
-            raise ParseError(f"unexpected {it.kind.upper()}", it.location)
-        raise ParseError(f"unexpected item {it.kind}", it.location)
+        what = (f"unmatched inline END tag {it.text!r}"
+                if it.kind == "tag_end" else f"unexpected {it.kind.upper()}")
+        self.sink.emit("stray-closer", f"{what}; skipping it", it.location,
+                       severity="skipped")
+        return None, i + 1
 
     def _do(self, i: int, hi: int) -> Tuple[ast.Stmt, int]:
         it = self.items[i]
-        if it.do_term is not None:
-            j = self._find_label(i + 1, hi, it.do_term)
-            body = self.build(i + 1, j + 1)  # terminator is part of the body
-            loop = ast.DoLoop(it.do_var, it.do_start, it.do_stop, it.do_step,
-                              body, it.label, it.do_term)
-            return loop, j + 1
-        j = self._match_enddo(i + 1, hi)
-        body = self.build(i + 1, j)
-        loop = ast.DoLoop(it.do_var, it.do_start, it.do_stop, it.do_step,
-                          body, it.label, None)
-        return loop, j + 1
+        term = it.do_term
+        if term is not None:
+            j = self._find_label(i + 1, hi, term)
+            # the terminator is part of the body
+            body_end = nxt = None if j is None else j + 1
+        else:
+            j = body_end = self._match_enddo(i + 1, hi)
+            nxt = None if j is None else j + 1
+        if j is None:
+            code, what = (("missing-do-label",
+                           f"DO terminator label {term} not found")
+                          if term is not None
+                          else ("missing-enddo", "missing ENDDO"))
+            self.sink.emit(code, f"{what}; closing the loop at the end of "
+                           "the enclosing block", it.location,
+                           severity="note")
+            term, body_end, nxt = None, hi, hi
+        body = self.build(i + 1, body_end)
+        return ast.DoLoop(it.do_var, it.do_start, it.do_stop, it.do_step,
+                          body, it.label, term), nxt
 
-    def _find_label(self, lo: int, hi: int, label: int) -> int:
+    def _find_label(self, lo: int, hi: int, label: int) -> Optional[int]:
         for j in range(lo, hi):
             if self.items[j].label == label and self.items[j].kind == "stmt":
                 return j
-        raise ParseError(f"DO terminator label {label} not found",
-                         self.items[lo - 1].location)
+        return None
 
-    def _match_enddo(self, lo: int, hi: int) -> int:
+    def _match_enddo(self, lo: int, hi: int) -> Optional[int]:
         depth = 0
         for j in range(lo, hi):
             it = self.items[j]
@@ -926,7 +975,7 @@ class _Structurer:
                 if depth == 0:
                     return j
                 depth -= 1
-        raise ParseError("missing ENDDO", self.items[lo - 1].location)
+        return None
 
     def _if(self, i: int, hi: int) -> Tuple[ast.Stmt, int]:
         header = self.items[i]
@@ -953,7 +1002,11 @@ class _Structurer:
                 cond = None
                 arm_start = j + 1
             j += 1
-        raise ParseError("missing ENDIF", header.location)
+        self.sink.emit("missing-endif", "missing ENDIF; closing the IF block "
+                       "at the end of the enclosing block", header.location,
+                       severity="note")
+        arms.append((cond, self.build(arm_start, hi)))
+        return ast.IfBlock(arms, header.label), hi
 
     def _omp(self, i: int, hi: int) -> Tuple[Optional[ast.Stmt], int]:
         it = self.items[i]
@@ -963,8 +1016,10 @@ class _Structurer:
             return None, i + 1
         if not (text.startswith("PARALLELDO") or text.startswith("DO")
                 or text.startswith("PARALLEL")):
-            raise ParseError(f"unsupported OpenMP directive {it.text!r}",
-                             it.location)
+            self.sink.emit("bad-omp", f"unsupported OpenMP directive "
+                           f"{it.text!r}; dropping it", it.location,
+                           severity="skipped")
+            return None, i + 1
         private, reductions, schedule = _parse_omp_clauses(it.text)
         # the directive governs the next DO loop in the stream; intervening
         # companion directives (e.g. separate PARALLEL then DO) are merged
@@ -976,16 +1031,22 @@ class _Structurer:
             schedule = schedule or s2
             j += 1
         if j >= hi or self.items[j].kind != "do":
-            raise ParseError("OpenMP PARALLEL DO directive not followed by "
-                             "a DO loop", it.location)
+            self.sink.emit("omp-no-loop", "OpenMP PARALLEL DO directive not "
+                           "followed by a DO loop; dropping the directive",
+                           it.location, severity="skipped")
+            return None, j
         loop_stmt, nxt = self._do(j, hi)
         assert isinstance(loop_stmt, ast.DoLoop)
         return ast.OmpParallelDo(loop_stmt, tuple(private),
                                  tuple(reductions), schedule), nxt
 
-    def _tagged(self, i: int, hi: int) -> Tuple[ast.Stmt, int]:
+    def _tagged(self, i: int, hi: int) -> Tuple[Optional[ast.Stmt], int]:
         it = self.items[i]
-        callee, site_id, actuals = _parse_tag_begin(it.text, it.location)
+        try:
+            callee, site_id, actuals = _parse_tag_begin(it.text, it.location)
+        except ReproError as e:
+            self.sink.error(e, "bad-tag", severity="skipped")
+            return None, i + 1
         depth = 0
         for j in range(i + 1, hi):
             item = self.items[j]
@@ -993,24 +1054,38 @@ class _Structurer:
                 depth += 1
             elif item.kind == "tag_end":
                 if depth == 0:
-                    end_id = int(item.text.split()[0])
-                    if end_id != site_id:
-                        raise ParseError(
-                            f"inline tag mismatch: BEGIN {site_id} closed by "
-                            f"END {end_id}", item.location)
+                    self._check_end_tag(item, site_id)
                     body = self.build(i + 1, j)
                     return ast.TaggedBlock(callee, site_id, actuals, body,
                                            it.label), j + 1
                 depth -= 1
-        raise ParseError(f"missing inline END tag for site {site_id}",
-                         it.location)
+        self.sink.emit("missing-end-tag", f"missing inline END tag for site "
+                       f"{site_id}; closing it at the end of the enclosing "
+                       "block", it.location, severity="note")
+        body = self.build(i + 1, hi)
+        return ast.TaggedBlock(callee, site_id, actuals, body,
+                               it.label), hi
+
+    def _check_end_tag(self, item: _Flat, site_id: int) -> None:
+        """Report an END tag that does not name ``site_id``; it is still
+        accepted as the closure."""
+        words = item.text.split()
+        if not words or not words[0].isdecimal():
+            self.sink.emit("bad-tag", f"malformed inline END tag "
+                           f"{item.text!r}; accepting it as the END of site "
+                           f"{site_id}", item.location, excerpt=item.text,
+                           severity="note")
+        elif int(words[0]) != site_id:
+            self.sink.emit("tag-mismatch", f"inline tag mismatch: BEGIN "
+                           f"{site_id} closed by END {words[0]}; accepting "
+                           "the closure", item.location, severity="note")
 
 
 def _parse_omp_clauses(text: str):
     private: List[str] = []
     reductions: List[Tuple[str, str]] = []
     schedule: Optional[str] = None
-    upper = condense(text)
+    upper, _, _ = condense_with_map(text)
     for m in re.finditer(r"PRIVATE\(([^)]*)\)", upper):
         private.extend(x for x in m.group(1).split(",") if x)
     for m in re.finditer(r"REDUCTION\(([^:]+):([^)]*)\)", upper):
@@ -1027,8 +1102,9 @@ def _parse_omp_clauses(text: str):
 def _parse_tag_begin(text: str, loc: SourceLocation):
     """Parse ``<callee> <site_id> [actual|actual|...]``."""
     parts = text.split(None, 2)
-    if len(parts) < 2:
-        raise ParseError(f"malformed inline BEGIN tag {text!r}", loc)
+    if len(parts) < 2 or not parts[1].isdecimal():
+        raise ParseError(f"malformed inline BEGIN tag {text!r}", loc,
+                         excerpt=text)
     callee = parts[0].upper()
     site_id = int(parts[1])
     actuals: Tuple[ast.Expr, ...] = ()
@@ -1042,64 +1118,65 @@ def _parse_tag_begin(text: str, loc: SourceLocation):
 # Program-unit assembly
 # ---------------------------------------------------------------------------
 
-def parse_source(text: str, filename: str = "<string>") -> ast.SourceFile:
-    """Parse fixed-form source text into a :class:`~repro.fortran.ast.SourceFile`."""
-    lines = read_logical_lines(text, filename)
-    classifier = _StatementClassifier(filename)
+def _parse(text: str, filename: str,
+           sink: DiagnosticSink) -> ast.SourceFile:
+    """Parse fixed-form source, reporting every malformed construct to
+    ``sink``.  Unless the sink raises, the tree is structurally valid."""
+    classifier = _StatementClassifier(sink)
     units: List[ast.ProgramUnit] = []
-    current_header: Optional[Tuple[str, str, List[str], str]] = None
-    current_items: List[_Flat] = []
-    header_loc = SourceLocation(filename, 0)
+    unit: Optional[ast.ProgramUnit] = None
+    unit_loc = SourceLocation(filename, 0)
+    items: List[_Flat] = []
 
     def finish_unit() -> None:
-        nonlocal current_header, current_items
-        if current_header is None:
-            if current_items:
-                raise ParseError("statements outside any program unit",
-                                 current_items[0].location)
-            return
-        kind, name, params, result_type = current_header
-        decls: List[ast.Decl] = []
-        body_items: List[_Flat] = []
-        for it in current_items:
-            if it.kind == "decl":
-                decls.append(it.stmt)  # type: ignore[arg-type]
-            else:
-                body_items.append(it)
-        body = _Structurer(body_items).build(0, len(body_items))
-        units.append(ast.ProgramUnit(kind, name, params, decls, body,
-                                     result_type))
-        current_header = None
-        current_items = []
+        nonlocal unit, items
+        if unit is not None:
+            body = [it for it in items if it.kind != "decl"]
+            unit.decls = [it.stmt for it in items if it.kind == "decl"]
+            unit.body = _Structurer(body, sink).build(0, len(body))
+            units.append(unit)
+        unit, items = None, []
 
-    for line in lines:
-        text_c = condense(line.text)
-        m = _UNIT_HEADER_RE.match(text_c) if text_c else None
-        if m and m.group(2) in ("PROGRAM", "SUBROUTINE", "FUNCTION"):
-            finish_unit()
-            rtype = _TYPE_KEYWORDS.get(m.group(1) or "", "")
-            kind = m.group(2)
-            name = m.group(3)
-            params: List[str] = []
-            if m.group(4):
-                inner = m.group(4)[1:-1]
-                params = [p for p in inner.split(",") if p]
-            current_header = (kind, name, params, rtype)
-            header_loc = line.location
-            # directives before a unit header are not meaningful; drop them
-            continue
-        flats = classifier.classify(line)
-        for f in flats:
-            if f.kind == "end":
+    for line in read_logical_lines(text, filename, sink):
+        for f in classifier.classify(line):
+            if f.kind == "unit":
                 finish_unit()
-            else:
-                if current_header is None and f.kind in ("omp", "tag_begin",
-                                                         "tag_end"):
-                    continue  # stray trailing directives
-                if current_header is None:
-                    raise ParseError("statement outside any program unit",
-                                     f.location)
-                current_items.append(f)
-    if current_header is not None:
-        raise ParseError("missing END for final program unit", header_loc)
+                unit, unit_loc = f.stmt, f.location
+            elif f.kind == "end":
+                finish_unit()
+            elif unit is not None:
+                items.append(f)
+            elif f.kind not in ("omp", "tag_begin", "tag_end"):
+                # (stray directives outside any unit are dropped silently)
+                sink.emit("stray-statement", "statement outside any program "
+                          "unit; skipping it", f.location,
+                          excerpt=line.text.rstrip(), severity="skipped")
+    if unit is not None:
+        sink.emit("missing-end", "missing END for final program unit; "
+                  "adding an implicit one", unit_loc, severity="note")
+        finish_unit()
     return ast.SourceFile(units, filename)
+
+
+def parse_source(text: str, filename: str = "<string>") -> ast.SourceFile:
+    """Parse fixed-form source text into a :class:`~repro.fortran.ast.SourceFile`.
+
+    Strict: raises :class:`~repro.errors.LexError` or
+    :class:`~repro.errors.ParseError` on the first diagnostic of any
+    severity.
+    """
+    return _parse(text, filename, RaisingSink())
+
+
+def parse_source_tolerant(text: str, filename: str = "<string>"
+                          ) -> Tuple[ast.SourceFile, List[Diagnostic]]:
+    """Parse fixed-form source text, recovering from every malformed
+    construct.  Returns ``(SourceFile, [Diagnostic])`` and never raises
+    for malformed input.
+
+    Statements that could not be understood appear as
+    :class:`~repro.fortran.ast.Opaque` markers, which the analyses treat
+    as "may touch anything".
+    """
+    sink = DiagnosticSink()
+    return _parse(text, filename, sink), sink.items

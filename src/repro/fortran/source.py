@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import LexError, SourceLocation
+from repro.fortran.diagnostics import DiagnosticSink, RaisingSink
 
 #: maximum significant column of the statement field
 STATEMENT_FIELD_END = 72
@@ -74,7 +75,9 @@ def _classify_comment(body: str, line_no: int) -> Optional[Directive]:
     return None
 
 
-def read_logical_lines(text: str, filename: str = "<string>") -> List[LogicalLine]:
+def read_logical_lines(text: str, filename: str = "<string>",
+                       sink: Optional[DiagnosticSink] = None
+                       ) -> List[LogicalLine]:
     """Split fixed-form source text into logical lines.
 
     Continuation lines are appended to the statement field of the previous
@@ -83,7 +86,17 @@ def read_logical_lines(text: str, filename: str = "<string>") -> List[LogicalLin
     annotate the loop that follows them); structured comments at end of
     file are attached to a synthetic empty logical line so they are not
     lost.
+
+    Malformed cards are reported to ``sink`` (default: a
+    :class:`RaisingSink`, which raises :class:`LexError`) and repaired:
+
+    * a continuation card with nothing to continue starts a fresh
+      statement (``orphan-continuation``);
+    * a directive between a statement and its continuation stays pending
+      and attaches to the *next* statement (``directive-in-continuation``);
+    * a non-numeric label field is dropped (``bad-label``).
     """
+    sink = sink if sink is not None else RaisingSink()
     logical: List[LogicalLine] = []
     pending: List[Directive] = []
     current: Optional[LogicalLine] = None
@@ -113,32 +126,34 @@ def read_logical_lines(text: str, filename: str = "<string>") -> List[LogicalLin
             continue
         if len(line) < 6:
             line = line.ljust(6)
-        label_field = line[0:5]
+        label_field = line[0:5].strip()
         cont_field = line[5]
         stmt_field = line[6:STATEMENT_FIELD_END]
         if cont_field not in (" ", "0"):
-            # continuation line
-            if current is None:
-                raise LexError(
-                    "continuation line with no statement to continue",
-                    SourceLocation(filename, idx),
-                )
-            if pending:
-                raise LexError(
-                    "directive between a statement and its continuation",
-                    SourceLocation(filename, idx),
-                )
-            current.text += stmt_field.rstrip()
-            continue
+            if current is not None:
+                if pending:
+                    sink.emit("directive-in-continuation",
+                              "directive between a statement and its "
+                              "continuation; attaching it to the next "
+                              "statement",
+                              SourceLocation(filename, idx),
+                              excerpt=raw.rstrip())
+                current.text += stmt_field.rstrip()
+                continue
+            sink.emit("orphan-continuation",
+                      "continuation line with no statement to continue; "
+                      "treating it as a new statement",
+                      SourceLocation(filename, idx, 6), excerpt=raw.rstrip())
+            label_field = ""
         flush()
         label: Optional[int] = None
-        if label_field.strip():
-            if not label_field.strip().isdigit():
-                raise LexError(
-                    f"bad statement label {label_field.strip()!r}",
-                    SourceLocation(filename, idx),
-                )
-            label = int(label_field.strip())
+        if label_field.isdecimal():
+            label = int(label_field)
+        elif label_field:
+            sink.emit("bad-label",
+                      f"bad statement label {label_field!r}; ignoring the "
+                      "label field",
+                      SourceLocation(filename, idx, 1), excerpt=raw.rstrip())
         current = LogicalLine(
             label=label,
             text=stmt_field.rstrip(),
@@ -171,7 +186,7 @@ def _strip_inline_comment(line: str) -> str:
     return line
 
 
-def condense(stmt: str) -> str:
+def condense(stmt: str, location: Optional[SourceLocation] = None) -> str:
     """Remove blanks and upper-case a statement field, outside strings.
 
     Fixed-form Fortran treats blanks in the statement field as
@@ -195,7 +210,8 @@ def condense(stmt: str) -> str:
         else:
             out.append(ch.upper())
     if in_quote:
-        raise LexError(f"unterminated character literal in {stmt!r}")
+        raise LexError(f"unterminated character literal in {stmt!r}",
+                       location)
     return "".join(out)
 
 
@@ -203,17 +219,18 @@ def condense_with_map(stmt: str) -> tuple:
     """Like :func:`condense`, but also map condensed indices back to the
     statement-field offsets they came from.
 
-    Returns ``(condensed, indices)`` where ``indices[i]`` is the 0-based
-    offset into ``stmt`` of the character that produced ``condensed[i]``.
-    The fixed-form card column is ``7 + offset`` (the statement field
-    starts at column 7), which is what tolerant-frontend diagnostics
-    report.  Unterminated literals fall back to treating the tail as
-    ordinary text instead of raising, so the map is usable during error
-    recovery.
+    Returns ``(condensed, indices, open_quote)`` where ``indices[i]`` is
+    the 0-based offset into ``stmt`` of the character that produced
+    ``condensed[i]``.  The fixed-form card column is ``7 + offset`` (the
+    statement field starts at column 7), which is what diagnostics
+    report.  An unterminated literal does not raise: ``open_quote`` is
+    the condensed index of its opening quote (``-1`` when every literal
+    is closed), and the tail is kept as literal text.
     """
     out: List[str] = []
     indices: List[int] = []
     in_quote: Optional[str] = None
+    open_quote = -1
     for i, ch in enumerate(stmt):
         if in_quote:
             out.append(ch)
@@ -222,6 +239,7 @@ def condense_with_map(stmt: str) -> tuple:
                 in_quote = None
         elif ch in ("'", '"'):
             in_quote = ch
+            open_quote = len(out)
             out.append(ch)
             indices.append(i)
         elif ch == " " or ch == "\t":
@@ -229,4 +247,4 @@ def condense_with_map(stmt: str) -> tuple:
         else:
             out.append(ch.upper())
             indices.append(i)
-    return "".join(out), indices
+    return "".join(out), indices, open_quote if in_quote else -1

@@ -54,6 +54,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.fortran import ast
+from repro.fortran.fixedform.pipeline import run_pipeline
 from repro.program import Program
 from repro.runtime.difftest import backend_equivalence, diff_test
 from repro.runtime.interpreter import ExecutionResult, Interpreter
@@ -116,43 +117,6 @@ def _registry(annotations: str):
     return AnnotationRegistry.from_text(annotations)
 
 
-def _run_pipeline(program: Program, registry, config: str):
-    """The exact CLI pipeline (cli._pipeline without the timings)."""
-    from repro.annotations import AnnotationInliner, ReverseInliner
-    from repro.inlining import ConventionalInliner
-    from repro.polaris import Polaris
-    if config == "conventional":
-        ConventionalInliner().run(program)
-    elif config == "annotation":
-        AnnotationInliner(registry).run(program)
-    report = Polaris().run(program)
-    if config == "annotation":
-        ReverseInliner(registry).run(program)
-    return report
-
-
-def _run_inference_pipeline(program: Program, hand_registry, mode: str):
-    """The annotation pipeline on the ``inferred``/``demand`` axis
-    (cli._pipeline with ``annotations_mode`` != hand)."""
-    from repro.annotations import ReverseInliner
-    from repro.annotations.infer import infer_annotations
-    from repro.annotations.inliner import AnnotationInliner
-    from repro.inlining.demand import DemandInliner
-    from repro.polaris import Polaris
-    hand = hand_registry if mode == "demand" else None
-    inference = infer_annotations(program, hand=hand)
-    registry = inference.registry()
-    demand = None
-    if mode == "demand":
-        demand = DemandInliner(registry, inference=inference,
-                               hand_names=frozenset(hand.names()))
-    else:
-        AnnotationInliner(registry).run(program)
-    report = Polaris(demand=demand).run(program)
-    ReverseInliner(registry).run(program)
-    return report, registry
-
-
 def _inference_enabled() -> bool:
     import os
     return os.environ.get("REPRO_FUZZ_INFERENCE", "1").lower() \
@@ -211,7 +175,7 @@ def run_oracle(sources: Dict[str, str], annotations: str = "",
         work = Program.from_sources(dict(sources), "fuzz")
         try:
             registry = _registry(annotations)
-            report = _run_pipeline(work, registry, config)
+            report, _ = run_pipeline(work, registry, config)
         except Exception as exc:
             result.mismatches.append(Mismatch(
                 "crash", config, f"{type(exc).__name__}: {exc}"))
@@ -303,8 +267,8 @@ def _check_inference(sources: Dict[str, str], annotations: str,
     for mode in ("inferred", "demand"):
         work = Program.from_sources(dict(sources), "fuzz")
         try:
-            report, registry = _run_inference_pipeline(work, hand_registry,
-                                                       mode)
+            report, registry = run_pipeline(work, hand_registry,
+                                            "annotation", mode)
         except Exception as exc:
             result.mismatches.append(Mismatch(
                 "crash", mode, f"{type(exc).__name__}: {exc}"))
@@ -358,7 +322,7 @@ def _check_reanalysis(reparsed: Program, annotations: str,
     strip_omp(reparsed)
     registry = _registry(annotations)
     try:
-        second = _run_pipeline(reparsed, registry, "annotation")
+        second, _ = run_pipeline(reparsed, registry, "annotation")
     except Exception as exc:
         return Mismatch("reverse-reanalysis", "annotation",
                         f"re-analysis raised {type(exc).__name__}: {exc}")

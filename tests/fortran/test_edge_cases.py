@@ -53,6 +53,12 @@ class TestParserErrorPaths:
             parse_source("      SUBROUTINE S\n      CALL F(1)X\n"
                          "      END\n")
 
+    def test_unterminated_common_block_name(self):
+        with pytest.raises(ParseError) as info:
+            parse_source("      SUBROUTINE S\n      COMMON /WRK\n"
+                         "      END\n")
+        assert info.value.location.line == 2
+
 
 class TestParserCornerCases:
     def test_empty_units(self):

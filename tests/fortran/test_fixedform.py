@@ -70,6 +70,15 @@ class TestStatementRecovery:
         # recovery resumes on the very next statement
         assert isinstance(sf.units[0].body[1], ast.Assign)
 
+    def test_unterminated_common_block_name(self):
+        src = ("      SUBROUTINE S\n"
+               "      COMMON /WRK\n"
+               "      END\n")
+        assert records(src) == [("parse-error", 2, "recovered")]
+        sf, _ = parse(src)
+        assert sf.units[0].body == [ast.Opaque(text="COMMON /WRK",
+                                               reason="parse-error")]
+
     def test_diagnostic_carries_location_and_excerpt(self):
         _, diags = parse("      PROGRAM P\n"
                          "      X = = 1.0\n"

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from time import perf_counter
 from typing import Dict, Optional, Sequence
 
 from repro.program import Program
@@ -67,6 +66,25 @@ def _load_registry(path: Optional[str]):
         return AnnotationRegistry()
     with open(path) as fh:
         return AnnotationRegistry.from_text(fh.read())
+
+
+def _run_files(args, tracer=None):
+    """Parse ``args.files`` and run the configured pipeline on them;
+    ``(result, cProfile text)``, the timings covering the parse too."""
+    from repro.experiments.pipeline import Config, run_program
+    from repro.polaris.report import PHASES
+    from repro.trace import Tracer
+    tracer = tracer or Tracer(enabled=False)
+    before = tracer.totals(PHASES)
+    with tracer.span("parse"):
+        program = _load_program(args.files)
+    config = Config(args.config,
+                    annotations=getattr(args, "annotations_mode", "hand"))
+    result, cprofile_text = _maybe_cprofile(
+        args, run_program, program, _load_registry(args.annotations),
+        config, tracer)
+    result.report.timings = tracer.totals_since(before)
+    return result, cprofile_text
 
 
 def _machine(name: str):
@@ -112,20 +130,12 @@ def _select_benchmarks(args):
 def cmd_parallelize(args) -> int:
     if getattr(args, "tolerant", False) or getattr(args, "json", False):
         return _cmd_parallelize_tolerant(args)
-    from repro.fortran.fixedform.pipeline import run_pipeline
-    t0 = perf_counter()
-    program = _load_program(args.files)
-    parse_seconds = perf_counter() - t0
-    registry = _load_registry(args.annotations)
-    tracer = None
-    if getattr(args, "explain", False):
-        from repro.trace import Tracer
-        tracer = Tracer(label="parallelize")
-    (report, _), cprofile_text = _maybe_cprofile(
-        args, run_pipeline, program, registry, args.config,
-        getattr(args, "annotations_mode", "hand"), tracer)
-    report.add_timing("parse", parse_seconds)
-    text = "".join(program.unparse().values())
+    from repro.trace import Tracer
+    tracer = Tracer(enabled=getattr(args, "explain", False),
+                    label="parallelize")
+    result, cprofile_text = _run_files(args, tracer)
+    report = result.report
+    text = "".join(result.program.unparse().values())
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -133,9 +143,8 @@ def cmd_parallelize(args) -> int:
               f"({report.parallel_count()} loops parallelized)")
     else:
         print(text, end="")
-    if tracer is not None:
-        for d in tracer.decisions:
-            print(d.describe(), file=sys.stderr)
+    for d in tracer.decisions:
+        print(d.describe(), file=sys.stderr)
     if args.report:
         print(report.describe(), file=sys.stderr)
     if args.profile or cprofile_text:
@@ -192,15 +201,8 @@ def cmd_report(args) -> int:
         print("repro report: needs source files (or --out FILE for the "
               "HTML dashboard)", file=sys.stderr)
         return 2
-    from repro.fortran.fixedform.pipeline import run_pipeline
-    t0 = perf_counter()
-    program = _load_program(args.files)
-    parse_seconds = perf_counter() - t0
-    registry = _load_registry(args.annotations)
-    (report, _), cprofile_text = _maybe_cprofile(
-        args, run_pipeline, program, registry, args.config,
-        getattr(args, "annotations_mode", "hand"))
-    report.add_timing("parse", parse_seconds)
+    result, cprofile_text = _run_files(args)
+    report = result.report
     if args.profile or cprofile_text:
         _print_profile(report.timings, report.test_stats, cprofile_text)
     print(report.describe())
@@ -248,15 +250,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from repro.fortran.fixedform.pipeline import run_pipeline
     from repro.runtime import diff_test
-    program = _load_program(args.files)
-    registry = _load_registry(args.annotations)
-    report, _ = run_pipeline(program, registry, args.config,
-                             getattr(args, "annotations_mode", "hand"))
-    result = diff_test(program, _machine("intel-mac"),
+    run, _ = _run_files(args)
+    result = diff_test(run.program, _machine("intel-mac"),
                        inputs=[float(x) for x in args.inputs])
-    print(f"{report.parallel_count()} loops parallelized; "
+    print(f"{run.report.parallel_count()} loops parallelized; "
           f"verification: {result.explain()}")
     return 0 if result.passed else 1
 

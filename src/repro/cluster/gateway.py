@@ -464,15 +464,12 @@ class ClusterGateway:
         shards, which piggyback their own ``cache-get`` span."""
         if trace is None:
             return await self._cache_call(self.cache.get, digest)
-        t0_wall, t0 = time.time(), time.perf_counter()
-        cached = await self._cache_call(
-            self.cache.get, digest,
-            {"traceparent": trace["span"].to_traceparent()})
-        self.spans.record(
-            "cache-lookup", trace["span"].child(), cat="cache",
-            start_wall=t0_wall, duration=time.perf_counter() - t0,
-            parent_id=trace["span"].span_id, digest=digest,
-            hit=cached is not None)
+        with self.spans.span("cache-lookup", trace["span"], cat="cache",
+                             digest=digest) as span:
+            cached = await self._cache_call(
+                self.cache.get, digest,
+                {"traceparent": trace["span"].to_traceparent()})
+            span.set(hit=cached is not None)
         return cached
 
     def _open_trace(self, trace_ctx: Any) -> Optional[Dict[str, Any]]:
@@ -1188,41 +1185,33 @@ class ClusterGateway:
                 {"node": name, "job_id": job.id})
             if not start.get("granted"):
                 continue
-            outcome = "done"
-            t0_wall, t0 = time.time(), time.perf_counter()
-            try:
-                result, delta = await self.pool.run_async(
-                    run_job_observed, (job.payload, job.ctx),
-                    timeout=job.remaining())
-            except WorkerTimeout:
-                outcome = "timeout"
-                await self._op_work_fail(
-                    {"node": name, "job_id": job.id, "kind": "timeout",
-                     "error": "deadline expired while running"})
-            except WorkerCrashError as exc:
-                outcome = "crash"
-                await self._op_work_fail(
-                    {"node": name, "job_id": job.id, "kind": "crash",
-                     "error": str(exc)})
-            except Exception as exc:
-                outcome = "error"
-                await self._op_work_fail(
-                    {"node": name, "job_id": job.id, "kind": "error",
-                     "error": f"{type(exc).__name__}: {exc}"})
-            else:
-                if delta:
-                    obs_metrics.get_registry().merge(delta)
-                await self._op_work_done(
-                    {"node": name, "job_id": job.id, "result": result})
             trace = self._traced.get(job.id)
-            if trace is not None:
-                self.spans.record(
-                    "execute", trace["span"].child(), cat="worker",
-                    start_wall=t0_wall,
-                    duration=time.perf_counter() - t0,
-                    parent_id=trace["span"].span_id, job_id=job.id,
-                    digest=job.digest, node=name, outcome=outcome,
-                    attempt=job.attempts)
+            with self.spans.span(
+                    "execute", trace and trace["span"], cat="worker",
+                    job_id=job.id, digest=job.digest, node=name,
+                    attempt=job.attempts) as span:
+                failure = None
+                try:
+                    result, delta = await self.pool.run_async(
+                        run_job_observed, (job.payload, job.ctx),
+                        timeout=job.remaining())
+                except WorkerTimeout:
+                    failure = {"kind": "timeout",
+                               "error": "deadline expired while running"}
+                except WorkerCrashError as exc:
+                    failure = {"kind": "crash", "error": str(exc)}
+                except Exception as exc:
+                    failure = {"kind": "error",
+                               "error": f"{type(exc).__name__}: {exc}"}
+                else:
+                    if delta:
+                        obs_metrics.get_registry().merge(delta)
+                    await self._op_work_done(
+                        {"node": name, "job_id": job.id, "result": result})
+                if failure is not None:
+                    await self._op_work_fail(
+                        dict(failure, node=name, job_id=job.id))
+                span.set(outcome=failure["kind"] if failure else "done")
 
     # op dispatch table (client surface + worker surface)
     _OPS = {

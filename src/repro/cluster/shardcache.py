@@ -27,34 +27,17 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
-from repro.obs.distributed import TraceContext
+from repro.obs.distributed import SpanRecorder, TraceContext
 from repro.service import protocol
 from repro.service.cache import ResultCache
 
 _log = obs_logging.get_logger("repro.cluster.shard")
-
-
-def _cache_span(node: str, name: str, trace_ctx, t0_wall: float,
-                duration: float, **args) -> Optional[Dict]:
-    """One distributed span dict for a cache operation, or None when the
-    carried ``trace_ctx`` is absent/malformed (tracing must never make a
-    cache op fail)."""
-    try:
-        parent = TraceContext.from_dict(trace_ctx)
-    except ValueError:
-        return None
-    if parent is None:
-        return None
-    ctx = parent.child()
-    return {"name": name, "cat": "shard", "node": node,
-            "trace_id": ctx.trace_id, "span_id": ctx.span_id,
-            "parent_id": parent.span_id, "ts_wall": t0_wall,
-            "dur": max(0.0, duration), "args": args}
 
 
 class ShardError(Exception):
@@ -456,13 +439,12 @@ class CacheShardServer:
             if not isinstance(digest, str):
                 return protocol.error_response("cache-get needs a "
                                                "'digest'", "bad-request")
-            t0_wall, t0 = time.time(), time.perf_counter()
-            result = self.cache.get(digest)
-            response = {"ok": True, "found": result is not None,
-                        "result": result}
-            self._attach_span(response, "cache-get", trace_ctx, t0_wall,
-                              time.perf_counter() - t0,
-                              hit=result is not None)
+            response = {"ok": True}
+            with self._piggyback_span(response, "cache-get",
+                                      trace_ctx) as span:
+                result = self.cache.get(digest)
+                span.set(hit=result is not None)
+            response.update(found=result is not None, result=result)
             return response
         if op == "cache-put":
             digest = request.get("digest")
@@ -471,11 +453,9 @@ class CacheShardServer:
                 return protocol.error_response(
                     "cache-put needs 'digest' and a 'result' object",
                     "bad-request")
-            t0_wall, t0 = time.time(), time.perf_counter()
-            self.cache.put(digest, result)
             response = {"ok": True, "stored": True}
-            self._attach_span(response, "cache-put", trace_ctx, t0_wall,
-                              time.perf_counter() - t0)
+            with self._piggyback_span(response, "cache-put", trace_ctx):
+                self.cache.put(digest, result)
             return response
         if op in ("cache-stats", "health"):
             return {"ok": True, "role": "cache-shard",
@@ -490,15 +470,20 @@ class CacheShardServer:
             f"unknown op {op!r}; expected cache-get/cache-put/"
             f"cache-stats/health/shutdown", code="bad-op")
 
-    def _attach_span(self, response: Dict, op: str, trace_ctx,
-                     t0_wall: float, duration: float, **args) -> None:
-        """Piggyback this operation's span (stamped with *this* node's
-        wall clock) on the response; the caller's ``wall`` sample feeds
-        its clock-offset estimate for our lane."""
-        if trace_ctx is None:
-            return
-        span = _cache_span(self.name or f"shard:{self.host}:{self.port}",
-                           op, trace_ctx, t0_wall, duration, **args)
-        if span is not None:
-            response["spans"] = [span]
+    @contextmanager
+    def _piggyback_span(self, response: Dict, name: str, trace_ctx):
+        """Time one cache op as a span under the caller's ``trace_ctx``
+        and piggyback it on ``response`` with *this* node's wall clock
+        (the caller's clock-offset sample for our lane).  A missing or
+        malformed context must never make the op fail: it runs untraced."""
+        try:
+            parent = TraceContext.from_dict(trace_ctx)
+        except ValueError:
+            parent = None
+        recorder = SpanRecorder(self.name
+                                or f"shard:{self.host}:{self.port}")
+        with recorder.span(name, parent, cat="shard") as span:
+            yield span
+        if parent is not None:
+            response["spans"] = recorder.drain()
             response["wall"] = time.time()

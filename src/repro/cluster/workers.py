@@ -217,37 +217,28 @@ class WorkerNode:
                       reason=start.get("reason"))
             return
         report: Dict[str, Any]
-        outcome = "done"
-        t0_wall, t0 = time.time(), time.perf_counter()
-        with obs_logging.log_context(job_id=job_id, **ctx):
+        with self.spans.span("execute", trace_parent, cat="worker",
+                             job_id=job_id, digest=descriptor.get("digest"),
+                             attempt=start.get("attempts")) as span, \
+                obs_logging.log_context(job_id=job_id, **ctx):
             try:
                 result, delta = self.pool.run(
                     run_job_observed, (payload, ctx),
                     timeout=start.get("remaining"))
             except WorkerTimeout:
-                outcome = "timeout"
                 report = {"op": "work-fail", "kind": "timeout",
                           "error": "deadline expired while running"}
             except WorkerCrashError as exc:
-                outcome = "crash"
                 report = {"op": "work-fail", "kind": "crash",
                           "error": str(exc)}
             except Exception as exc:
-                outcome = "error"
                 report = {"op": "work-fail", "kind": "error",
                           "error": f"{type(exc).__name__}: {exc}"}
             else:
                 if delta:
                     obs_metrics.get_registry().merge(delta)
                 report = {"op": "work-done", "result": result}
-        if trace_parent is not None:
-            self.spans.record(
-                "execute", trace_parent.child(), cat="worker",
-                start_wall=t0_wall,
-                duration=time.perf_counter() - t0,
-                parent_id=trace_parent.span_id, job_id=job_id,
-                digest=descriptor.get("digest"), outcome=outcome,
-                attempt=start.get("attempts"))
+            span.set(outcome=report.get("kind", "done"))
         report.update(node=self.name, job_id=job_id)
         with self._count_lock:
             if report["op"] == "work-done":

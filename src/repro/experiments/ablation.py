@@ -77,15 +77,15 @@ class AblationRow:
 
 def run_ablation_task(task: AblationTask) -> AblationOutcome:
     polaris = task.polaris if task.polaris is not None else PolarisOptions()
-    tracer = Tracer(label=f"ablation {task.benchmark.name}/{task.mode}") \
-        if task.trace else None
+    tracer = Tracer(enabled=task.trace,
+                    label=f"ablation {task.benchmark.name}/{task.mode}")
     result = run_config(task.benchmark,
                         Config("annotation", polaris,
                                annotations=task.mode),
                         tracer=tracer)
     return AblationOutcome(task.mode, frozenset(result.parallel_origins()),
                            result.code_lines,
-                           tracer.export() if tracer else None)
+                           tracer.export() if task.trace else None)
 
 
 def ablation_rows(polaris: Optional[PolarisOptions] = None,

@@ -17,7 +17,6 @@ any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.executor import merge_task_traces, run_tasks
@@ -27,6 +26,7 @@ from repro.experiments.reporting import bar_chart
 from repro.experiments.tuning import TuningResult, tune
 from repro.perfect import all_benchmarks
 from repro.perfect.suite import Benchmark
+from repro.polaris.report import PHASES
 from repro.runtime.machine import AMD_OPTERON, INTEL_MAC, MachineModel
 from repro.trace import Tracer
 
@@ -72,44 +72,32 @@ def clear_pipeline_cache() -> None:
 
 
 def run_cell_task(task: Figure20Task) -> SpeedupCell:
-    tracer = Tracer(label=f"figure20 {task.benchmark.name}/"
-                          f"{task.machine.name}/{task.kind}") \
-        if task.trace else None
+    tracer = Tracer(enabled=task.trace,
+                    label=f"figure20 {task.benchmark.name}/"
+                          f"{task.machine.name}/{task.kind}")
+    before = tracer.totals(PHASES)
     key = (task.benchmark.digest(), task.kind)
     result = _PIPELINE_CACHE.get(key)
     if result is None:
+        # pipeline time lands on the first cell that needs the result
         result = run_config(task.benchmark, Config(task.kind),
                             tracer=tracer)
         _PIPELINE_CACHE[key] = result
-        timings = dict(result.report.timings)
-    else:
-        timings = {}  # pipeline time already attributed to an earlier cell
-    t0 = perf_counter()
-    # tuning mutates the program: use a fresh clone per machine
-    program = result.program.clone()
-    if tracer is not None:
-        with tracer.span("tune", benchmark=task.benchmark.name,
-                         machine=task.machine.name, config=task.kind):
-            tuning = tune(program, task.machine, task.benchmark.inputs)
-    else:
-        tuning = tune(program, task.machine, task.benchmark.inputs)
-    timings["tune"] = timings.get("tune", 0.0) + (perf_counter() - t0)
+    with tracer.span("tune", benchmark=task.benchmark.name,
+                     machine=task.machine.name, config=task.kind):
+        # tuning mutates the program: use a fresh clone per machine
+        tuning = tune(result.program.clone(), task.machine,
+                      task.benchmark.inputs)
     return SpeedupCell(task.benchmark.name, task.machine.name, task.kind,
-                       tuning, timings,
-                       tracer.export() if tracer else None)
+                       tuning, tracer.totals_since(before),
+                       tracer.export() if task.trace else None)
 
 
 def figure20_cells(benchmark: Benchmark,
                    machines: Sequence[MachineModel] = MACHINES,
                    jobs: Optional[int] = None,
                    tracer: Optional[Tracer] = None) -> List[SpeedupCell]:
-    trace = tracer is not None and tracer.enabled
-    tasks = [Figure20Task(benchmark, machine, kind, trace=trace)
-             for machine in machines for kind in CONFIGS]
-    cells = run_tasks(run_cell_task, tasks, jobs=jobs,
-                      tracer=tracer, label="figure20")
-    merge_task_traces(tracer, [c.trace for c in cells])
-    return cells
+    return figure20_all(machines, [benchmark], jobs, tracer)
 
 
 def figure20_all(machines: Sequence[MachineModel] = MACHINES,

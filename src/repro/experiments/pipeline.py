@@ -17,8 +17,7 @@ conventional inlining manifests ``#par-loss``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Set
 
 from repro.analysis.callgraph import build_callgraph
@@ -26,6 +25,7 @@ from repro.analysis.loops import assign_origins
 from repro.annotations.infer import ANNOTATION_MODES, infer_annotations
 from repro.annotations.inliner import (AnnotationInlineResult,
                                        AnnotationInliner)
+from repro.annotations.registry import AnnotationRegistry
 from repro.annotations.reverse import ReverseInliner, ReverseResult
 from repro.annotations.translate import TranslateOptions
 from repro.inlining.conventional import ConventionalInliner, InlineResult
@@ -35,8 +35,9 @@ from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.perfect.suite import Benchmark, CacheStats
 from repro.polaris import Polaris, PolarisOptions, Report
+from repro.polaris.report import PHASES
 from repro.program import Program
-from repro.trace import NULL_TRACER, SiteDecision, Tracer
+from repro.trace import SiteDecision, Tracer
 
 CONFIGS = ("none", "conventional", "annotation")
 
@@ -60,16 +61,24 @@ class PipelineResult:
     config: str
     program: Program
     report: Report
-    code_lines: int
     conventional_result: Optional[InlineResult] = None
     annotation_result: Optional[AnnotationInlineResult] = None
     reverse_result: Optional[ReverseResult] = None
     #: which annotations-axis value produced this result
     annotations: str = "hand"
-    #: lazily computed reachable-unit set (the callgraph of the finished
+    #: the annotation registry used (the inferred one unless ``hand``)
+    registry: Optional[AnnotationRegistry] = None
+    #: lazily computed reachable-unit set and code size (the finished
     #: program never changes afterwards, so one traversal serves every
-    #: parallel_origins() call)
+    #: later call)
     _reachable: Optional[Set[str]] = field(default=None, repr=False)
+    _code_lines: Optional[int] = field(default=None, repr=False)
+
+    @property
+    def code_lines(self) -> int:
+        if self._code_lines is None:
+            self._code_lines = self.program.total_lines()
+        return self._code_lines
 
     def reachable_units(self) -> Set[str]:
         if self._reachable is None:
@@ -146,72 +155,34 @@ def run_config(benchmark: Benchmark, config: Config,
 def _run_config(benchmark: Benchmark, config: Config,
                 base: Optional[Program],
                 tracer: Optional[Tracer]) -> PipelineResult:
-    tracer = tracer or NULL_TRACER
-    timings: Dict[str, float] = {}
+    tracer = tracer or Tracer(enabled=False)
+    before = tracer.totals(PHASES)
+    if benchmark.library_units:
+        config = replace(config, inline_policy=_policy_with_unavailable(
+            config.inline_policy, benchmark.library_units))
+    first_decision = len(tracer.decisions)
+    first_site = len(tracer.site_decisions)
     with tracer.span("pipeline", benchmark=benchmark.name,
                      config=config.kind):
         if base is None:
-            t0 = perf_counter()
             with tracer.span("parse", benchmark=benchmark.name):
                 base = prepare_base(benchmark)
-            timings["parse"] = perf_counter() - t0
         with tracer.span("clone"):
             program = base.clone()
-        conventional_result = None
-        annotation_result = None
-        reverse_result = None
-        registry = None
-        demand = None
-
-        # before inlining/inference: inference-time fallback records are
-        # site decisions of this run too and must be stamped below
-        first_site = len(tracer.site_decisions)
-        t0 = perf_counter()
-        if config.kind == "conventional":
-            policy = config.inline_policy
-            if benchmark.library_units:
-                policy = _policy_with_unavailable(policy,
-                                                  benchmark.library_units)
-            with tracer.span("inline", kind="conventional"):
-                conventional_result = ConventionalInliner(policy).run(program)
-            timings["inline"] = perf_counter() - t0
-        elif config.kind == "annotation":
-            registry, demand = _prepare_annotations(benchmark, config,
-                                                    program, tracer,
-                                                    timings)
-            if demand is None:
-                t0 = perf_counter()
-                with tracer.span("inline", kind="annotation"):
-                    annotation_result = AnnotationInliner(
-                        registry, config.translate).run(program)
-                timings["inline"] = perf_counter() - t0
-
-        first_decision = len(tracer.decisions)
-        report = Polaris(config.polaris,
-                         demand=demand).run(program, tracer=tracer)
-        if demand is not None:
-            annotation_result = demand._ann_result
-
-        if config.kind == "annotation":
-            t0 = perf_counter()
-            with tracer.span("reverse"):
-                reverse_result = ReverseInliner(registry,
-                                                config.translate).run(program)
-            timings["reverse"] = perf_counter() - t0
-
-    for phase, seconds in timings.items():
-        report.add_timing(phase, seconds)
-    result = PipelineResult(config.kind, program, report,
-                            program.total_lines(),
-                            conventional_result, annotation_result,
-                            reverse_result)
-    result.annotations = config.annotations
+        hand = benchmark.registry() if config.kind == "annotation" else None
+        result = run_program(program, hand, config, tracer)
+    report = result.report
+    report.timings = tracer.totals_since(before)
     if tracer.enabled:
-        _stamp_decisions(tracer.decisions[first_decision:], benchmark.name,
-                         config.kind, result.reachable_units())
+        # attribute this run's records; each loop's reachability is the
+        # trace-side half of the Table II counting protocol (see
+        # repro.trace.count_parallel)
+        reachable = result.reachable_units()
+        for d in tracer.decisions[first_decision:]:
+            d.benchmark, d.config = benchmark.name, config.kind
+            d.reachable = d.unit in reachable
         for d in tracer.site_decisions[first_site:]:
-            d.benchmark = benchmark.name
-            d.config = config.kind
+            d.benchmark, d.config = benchmark.name, config.kind
     obs_logging.get_logger("repro.pipeline").info(
         "pipeline-done", parallel=len(report.parallel_origins()),
         lines=result.code_lines,
@@ -219,8 +190,50 @@ def _run_config(benchmark: Benchmark, config: Config,
     return result
 
 
-def _prepare_annotations(benchmark: Benchmark, config: Config,
-                         program: Program, tracer: Tracer, timings):
+def run_program(program: Program, hand: Optional[AnnotationRegistry],
+                config: Config,
+                tracer: Optional[Tracer] = None) -> PipelineResult:
+    """Run one configuration on ``program``, in place: inline (or infer
+    annotations), parallelize with :class:`Polaris`, reverse-inline.
+
+    ``hand`` is the hand-written annotation registry; only ``annotation``
+    runs read it, and the ``inferred`` axis ignores it.  The report's
+    timings are the phase spans this call closed on ``tracer``.
+    """
+    tracer = tracer or Tracer(enabled=False)
+    before = tracer.totals(PHASES)
+    conventional_result = annotation_result = reverse_result = None
+    registry, demand = hand, None
+    if config.kind == "conventional":
+        with tracer.span("inline", kind="conventional"):
+            conventional_result = ConventionalInliner(
+                config.inline_policy).run(program)
+    elif config.kind == "annotation":
+        registry, demand = _prepare_annotations(hand, config, program,
+                                                tracer)
+        if demand is None:
+            with tracer.span("inline", kind="annotation"):
+                annotation_result = AnnotationInliner(
+                    registry, config.translate).run(program)
+
+    report = Polaris(config.polaris,
+                     demand=demand).run(program, tracer=tracer)
+    if demand is not None:
+        annotation_result = demand._ann_result
+
+    if config.kind == "annotation":
+        with tracer.span("reverse"):
+            reverse_result = ReverseInliner(registry,
+                                            config.translate).run(program)
+    report.timings = tracer.totals_since(before)
+    return PipelineResult(config.kind, program, report,
+                          conventional_result, annotation_result,
+                          reverse_result, annotations=config.annotations,
+                          registry=registry)
+
+
+def _prepare_annotations(hand: AnnotationRegistry, config: Config,
+                         program: Program, tracer: Tracer):
     """Resolve the annotations axis for an ``annotation`` run.
 
     Returns ``(registry, demand)``: the registry the reverse inliner
@@ -228,40 +241,23 @@ def _prepare_annotations(benchmark: Benchmark, config: Config,
     for the up-front modes)."""
     mode = config.annotations
     if mode == "hand":
-        return benchmark.registry(), None
+        return hand, None
     if mode not in ANNOTATION_MODES:
         raise ValueError(f"unknown annotations mode {mode!r}")
-    t0 = perf_counter()
     with tracer.span("infer", mode=mode):
-        hand = benchmark.registry() if mode == "demand" else None
-        inference = infer_annotations(program, hand=hand)
+        inference = infer_annotations(
+            program, hand=hand if mode == "demand" else None)
         registry = inference.registry()
-    timings["infer"] = perf_counter() - t0
     if tracer.enabled:
         for name, reason in inference.fallbacks().items():
             tracer.site(SiteDecision("", name, 0, "fallback",
                                      source="inferred", reason=reason))
     if mode == "inferred":
         return registry, None
-    policy = config.inline_policy
-    if benchmark.library_units:
-        policy = _policy_with_unavailable(policy, benchmark.library_units)
     hand_names = frozenset(hand.names()) if hand is not None else frozenset()
-    demand = DemandInliner(registry, config.translate, policy,
+    demand = DemandInliner(registry, config.translate, config.inline_policy,
                            inference=inference, hand_names=hand_names)
     return registry, demand
-
-
-def _stamp_decisions(decisions, benchmark: str, kind: str,
-                     reachable: Set[str]) -> None:
-    """Attribute freshly recorded loop decisions to this pipeline run and
-    mark whether each loop's unit is execution-reachable — the trace-side
-    half of the Table II counting protocol (see
-    :func:`repro.trace.count_parallel`)."""
-    for d in decisions:
-        d.benchmark = benchmark
-        d.config = kind
-        d.reachable = d.unit in reachable
 
 
 def summarize_result(result: PipelineResult) -> Dict[str, object]:
@@ -289,18 +285,12 @@ def run_all_configs(benchmark: Benchmark,
                     polaris: Optional[PolarisOptions] = None,
                     tracer: Optional[Tracer] = None,
                     ) -> Dict[str, PipelineResult]:
-    t0 = perf_counter()
-    base = prepare_base(benchmark)
-    parse_seconds = perf_counter() - t0
+    """Every configuration of ``benchmark``; the first run parses and
+    stamps the base program, the others clone it from the base cache."""
     polaris = polaris or PolarisOptions()
-    out: Dict[str, PipelineResult] = {}
-    for kind in CONFIGS:
-        out[kind] = run_config(benchmark, Config(kind, polaris), base,
-                               tracer=tracer)
-    # the shared parse is real work one of the runs must account for,
-    # or --profile would silently drop the phase on this path
-    out[CONFIGS[0]].report.add_timing("parse", parse_seconds)
-    return out
+    return {kind: run_config(benchmark, Config(kind, polaris),
+                             tracer=tracer)
+            for kind in CONFIGS}
 
 
 def _policy_with_unavailable(policy: InlinePolicy,

@@ -76,15 +76,15 @@ class ConfigOutcome:
 
 def run_config_task(task: Table2Task) -> ConfigOutcome:
     polaris = task.polaris if task.polaris is not None else PolarisOptions()
-    tracer = Tracer(label=f"table2 {task.benchmark.name}/{task.kind}") \
-        if task.trace else None
+    tracer = Tracer(enabled=task.trace,
+                    label=f"table2 {task.benchmark.name}/{task.kind}")
     result = run_config(task.benchmark,
                         Config(task.kind, polaris,
                                annotations=task.annotations),
                         tracer=tracer)
     return ConfigOutcome(task.kind, frozenset(result.parallel_origins()),
-                         result.code_lines, dict(result.report.timings),
-                         tracer.export() if tracer else None,
+                         result.code_lines, result.report.timings,
+                         tracer.export() if task.trace else None,
                          dict(result.report.test_stats))
 
 
@@ -106,13 +106,7 @@ def table2_row(benchmark: Benchmark,
                polaris: Optional[PolarisOptions] = None,
                tracer: Optional[Tracer] = None,
                annotations: str = "hand") -> Table2Row:
-    trace = tracer is not None and tracer.enabled
-    outcomes = [run_config_task(Table2Task(benchmark, kind, polaris,
-                                           trace=trace,
-                                           annotations=annotations))
-                for kind in CONFIGS]
-    merge_task_traces(tracer, [o.trace for o in outcomes])
-    return _assemble_row(benchmark.name, outcomes)
+    return table2_rows(polaris, 1, [benchmark], tracer, annotations)[0]
 
 
 def table2_outcomes(polaris: Optional[PolarisOptions] = None,

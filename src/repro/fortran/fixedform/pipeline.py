@@ -1,14 +1,11 @@
-"""The file-level pipeline: inline -> Polaris -> reverse-inline.
-
-:func:`run_pipeline` is the one dispatch over the inlining
-configuration (``none`` / ``conventional`` / ``annotation``) and the
-annotation source (``hand`` / ``inferred`` / ``demand``); the CLI, the
-fuzz oracle and :func:`parallelize_source` all run it.
+"""Parallelizing real-world fixed-form files.
 
 :func:`parallelize_source` is the service/CLI entry point behind
 ``repro parallelize FILE.f`` and the ``{"kind": "parallelize"}`` job
-payload: tolerant parse -> :func:`run_pipeline` -> OpenMP unparse, with
-per-loop explanations.  It accepts real-world fixed-form input: dialect
+payload: tolerant parse -> the pipeline core that the experiments
+share (:func:`repro.experiments.pipeline.run_program`: inline ->
+Polaris -> reverse-inline) -> OpenMP unparse, with per-loop
+explanations.  It accepts real-world fixed-form input: dialect
 constructs become conservative IR (EQUIVALENCE, computed/assigned GOTO,
 ENTRY, alternate returns, CHARACTER substrings), and outright malformed
 statements become :class:`~repro.fortran.ast.Opaque` markers — both
@@ -30,7 +27,6 @@ The returned mapping is JSON-ready (service responses forward it as-is):
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional
 
 from repro.fortran import ast
@@ -38,44 +34,7 @@ from repro.fortran.parser import parse_source_tolerant
 from repro.program import Program
 from repro.trace import Tracer
 
-__all__ = ["parallelize_source", "run_pipeline"]
-
-
-def run_pipeline(program: Program, registry, config: str,
-                 annotations_mode: str = "hand", tracer=None):
-    """Transform ``program`` in place for one configuration and return
-    ``(report, registry)``, where ``registry`` is the annotation registry
-    the pipeline used (the inferred one unless ``annotations_mode`` is
-    ``hand``).  The report carries ``inline``/``reverse`` timings."""
-    from repro.annotations import AnnotationInliner, ReverseInliner
-    from repro.inlining import ConventionalInliner
-    from repro.polaris import Polaris
-    t0 = perf_counter()
-    demand = None
-    if config == "conventional":
-        ConventionalInliner().run(program)
-    elif config == "annotation":
-        if annotations_mode != "hand":
-            from repro.annotations.infer import infer_annotations
-            from repro.inlining.demand import DemandInliner
-            hand = registry if annotations_mode == "demand" else None
-            inference = infer_annotations(program, hand=hand)
-            registry = inference.registry()
-            if annotations_mode == "demand":
-                demand = DemandInliner(
-                    registry, inference=inference,
-                    hand_names=frozenset(hand.names()))
-        if demand is None:
-            AnnotationInliner(registry).run(program)
-    inline_seconds = perf_counter() - t0
-    report = Polaris(demand=demand).run(program, tracer)
-    if config != "none":
-        report.add_timing("inline", inline_seconds)
-    if config == "annotation":
-        t0 = perf_counter()
-        ReverseInliner(registry).run(program)
-        report.add_timing("reverse", perf_counter() - t0)
-    return report, registry
+__all__ = ["parallelize_source"]
 
 
 def _build_program(sources: Dict[str, str], tolerant: bool,
@@ -108,18 +67,17 @@ def parallelize_source(sources: Dict[str, str],
     (``tolerant=False``) on the first frontend error.
     """
     from repro.annotations import AnnotationRegistry
+    from repro.experiments.pipeline import Config, run_program
 
     diagnostics: List[dict] = []
-    t0 = perf_counter()
-    program = _build_program(sources, tolerant, diagnostics)
-    parse_seconds = perf_counter() - t0
-
-    registry = (AnnotationRegistry.from_text(annotations_text)
-                if annotations_text else AnnotationRegistry())
     tracer = tracer or Tracer(label="parallelize")
-    report, _ = run_pipeline(program, registry, config, annotations_mode,
-                             tracer)
-    report.add_timing("parse", parse_seconds)
+    with tracer.span("parse"):
+        program = _build_program(sources, tolerant, diagnostics)
+
+    report = run_program(program,
+                         AnnotationRegistry.from_text(annotations_text),
+                         Config(config, annotations=annotations_mode),
+                         tracer).report
 
     loops = []
     for d in tracer.decisions:

@@ -53,8 +53,8 @@ from typing import Counter as CounterType
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
+from repro.experiments.pipeline import Config, run_program
 from repro.fortran import ast
-from repro.fortran.fixedform.pipeline import run_pipeline
 from repro.program import Program
 from repro.runtime.difftest import backend_equivalence, diff_test
 from repro.runtime.interpreter import ExecutionResult, Interpreter
@@ -175,7 +175,7 @@ def run_oracle(sources: Dict[str, str], annotations: str = "",
         work = Program.from_sources(dict(sources), "fuzz")
         try:
             registry = _registry(annotations)
-            report, _ = run_pipeline(work, registry, config)
+            report = run_program(work, registry, Config(config)).report
         except Exception as exc:
             result.mismatches.append(Mismatch(
                 "crash", config, f"{type(exc).__name__}: {exc}"))
@@ -267,12 +267,13 @@ def _check_inference(sources: Dict[str, str], annotations: str,
     for mode in ("inferred", "demand"):
         work = Program.from_sources(dict(sources), "fuzz")
         try:
-            report, registry = run_pipeline(work, hand_registry,
-                                            "annotation", mode)
+            run = run_program(work, hand_registry,
+                              Config("annotation", annotations=mode))
         except Exception as exc:
             result.mismatches.append(Mismatch(
                 "crash", mode, f"{type(exc).__name__}: {exc}"))
             continue
+        report = run.report
         result.configs_run += 1
         result.parallel_loops[mode] = report.parallel_count()
 
@@ -280,7 +281,7 @@ def _check_inference(sources: Dict[str, str], annotations: str,
         # run it is a restriction of (only meaningful when the inferred
         # registry covers no callee the hand registry misses)
         if mode == "inferred" and hand_origins is not None \
-                and set(registry.names()) <= hand_names:
+                and set(run.registry.names()) <= hand_names:
             flipped = sorted(report.parallel_origins() - hand_origins)
             if flipped:
                 result.mismatches.append(Mismatch(
@@ -322,7 +323,8 @@ def _check_reanalysis(reparsed: Program, annotations: str,
     strip_omp(reparsed)
     registry = _registry(annotations)
     try:
-        second, _ = run_pipeline(reparsed, registry, "annotation")
+        second = run_program(reparsed, registry,
+                             Config("annotation")).report
     except Exception as exc:
         return Mismatch("reverse-reanalysis", "annotation",
                         f"re-analysis raised {type(exc).__name__}: {exc}")

@@ -132,19 +132,21 @@ def validate_trace_ctx(obj: Any) -> Optional[str]:
 
 class _OpenSpan:
     """Context manager for one in-flight span; usable as the parent
-    context for downstream hops via ``.ctx``."""
+    context for downstream hops via ``.ctx``.  Arguments known only
+    once the work is done go on with :meth:`set`.  Without a parent
+    (untraced work) it records nothing."""
 
     __slots__ = ("_recorder", "_name", "_cat", "_args", "ctx",
                  "_parent_id", "_t0_wall", "_t0_perf")
 
     def __init__(self, recorder: "SpanRecorder", name: str, cat: str,
-                 parent: TraceContext, args: Dict[str, Any]):
+                 parent: Optional[TraceContext], args: Dict[str, Any]):
         self._recorder = recorder
         self._name = name
         self._cat = cat
         self._args = args
-        self._parent_id = parent.span_id
-        self.ctx = parent.child()   # this span's own identity
+        self._parent_id = parent and parent.span_id
+        self.ctx = parent and parent.child()   # this span's own identity
         self._t0_wall = 0.0
         self._t0_perf = 0.0
 
@@ -153,7 +155,12 @@ class _OpenSpan:
         self._t0_perf = time.perf_counter()
         return self
 
+    def set(self, **args: Any) -> None:
+        self._args.update(args)
+
     def __exit__(self, exc_type, *exc) -> bool:
+        if self.ctx is None:
+            return False
         if exc_type is not None:
             self._args = dict(self._args, error=exc_type.__name__)
         self._recorder.record(
@@ -178,9 +185,10 @@ class SpanRecorder:
         self._lock = threading.Lock()
         self._spans: List[Dict[str, Any]] = []
 
-    def span(self, name: str, parent: TraceContext, cat: str = "cluster",
-             **args: Any) -> _OpenSpan:
-        """Context manager recording one timed span under ``parent``."""
+    def span(self, name: str, parent: Optional[TraceContext],
+             cat: str = "cluster", **args: Any) -> _OpenSpan:
+        """Context manager recording one timed span under ``parent``
+        (nothing when ``parent`` is None)."""
         return _OpenSpan(self, name, cat, parent, args)
 
     def record(self, name: str, ctx: TraceContext, cat: str = "cluster",

@@ -1,10 +1,11 @@
 """Deep profiling: phase timings, dependence-test family stats, and an
 optional cProfile top-N of the analysis hot path.
 
-``repro <cmd> --profile`` used to dump a flat timings dict; it now
-renders (via :func:`render_profile_report`):
+``repro <cmd> --profile`` renders (via :func:`render_profile_report`):
 
-* per-phase wall-clock in the pipeline's canonical order;
+* per-phase wall-clock in the pipeline's canonical order — the
+  durations of the phase spans the run closed, read off its tracer's
+  span aggregate (:meth:`repro.trace.Tracer.totals_since`);
 * a dependence-test family table — how many times each test in the
   ZIV/GCD/Banerjee/exact family *ran* (attempts) vs *disproved* a
   dependence (kills), plus memo-table hits — the numbers that explain

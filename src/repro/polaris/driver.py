@@ -22,7 +22,6 @@ The driver mutates the program in place and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Optional
 
 from repro.analysis.dependence import DependenceTester, TestStats
@@ -35,7 +34,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.profile import FAMILIES, accumulate_test_stats
 from repro.polaris.parallelizer import LegalityAnalyzer
 from repro.polaris.profitability import ProfitabilityPolicy
-from repro.polaris.report import LoopVerdict, Report
+from repro.polaris.report import PHASES, LoopVerdict, Report
 from repro.program import Program
 from repro.trace import NULL_TRACER, LoopDecision, Tracer
 
@@ -104,9 +103,9 @@ class Polaris:
 
     def run(self, program: Program,
             tracer: Optional[Tracer] = None) -> Report:
-        tracer = tracer or NULL_TRACER
+        tracer = tracer or Tracer(enabled=False)
+        before = tracer.totals(PHASES)
         report = Report()
-        t0 = perf_counter()
         with tracer.span("normalize"):
             for unit in program.units:
                 assign_origins(unit)
@@ -114,19 +113,15 @@ class Polaris:
             if self.options.normalize:
                 for unit in program.units:
                     normalize_unit(unit, program.symtab(unit))
-        report.add_timing("normalize", perf_counter() - t0)
-        t0 = perf_counter()
         with tracer.span("summaries", units=len(program.units)):
             summaries = compute_summaries(program)
-        report.add_timing("summaries", perf_counter() - t0)
-        t0 = perf_counter()
         with tracer.span("dependence"):
             for unit in program.units:
                 with tracer.span(f"unit {unit.name}", cat="unit"):
                     self._parallelize_unit(program, unit, summaries,
                                            report, tracer)
             program.invalidate()
-        report.add_timing("dependence", perf_counter() - t0)
+        report.timings = tracer.totals_since(before)
         self._observe(report)
         return report
 

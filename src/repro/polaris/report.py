@@ -47,8 +47,8 @@ def merge_timings(into: Dict[str, float],
 @dataclass
 class Report:
     verdicts: List[LoopVerdict] = field(default_factory=list)
-    #: per-phase wall-clock seconds (keys from PHASES), filled by the
-    #: driver and the experiment pipeline, shown by the CLI's --profile
+    #: per-phase seconds (keys from PHASES) of the phase spans the run
+    #: closed, off its tracer's aggregate; shown by the CLI's --profile
     timings: Dict[str, float] = field(default_factory=dict)
     #: dependence-test family counters accumulated over every unit's
     #: tester (TestStats field -> count), shown by --profile
@@ -56,9 +56,6 @@ class Report:
 
     def add(self, v: LoopVerdict) -> None:
         self.verdicts.append(v)
-
-    def add_timing(self, phase: str, seconds: float) -> None:
-        self.timings[phase] = self.timings.get(phase, 0.0) + seconds
 
     def parallel_origins(self) -> Set[str]:
         """Origins of parallelized loops (each original loop once)."""

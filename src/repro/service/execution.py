@@ -120,6 +120,7 @@ def _run_pipeline(benchmark, config_kind: str, trace: bool = False,
     from repro.experiments.pipeline import (Config, run_config,
                                             summarize_result)
     from repro.runtime.backend import BACKEND_ENV, BACKENDS, default_backend
+    from repro.trace import Tracer
     if config_kind not in ("none", "conventional", "annotation"):
         raise ValueError(f"unknown config {config_kind!r}")
     if annotations_mode not in ANNOTATION_MODES:
@@ -128,10 +129,8 @@ def _run_pipeline(benchmark, config_kind: str, trace: bool = False,
     if backend is not None and backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"expected one of {BACKENDS}")
-    tracer = None
-    if trace:
-        from repro.trace import Tracer
-        tracer = Tracer(label=f"service {benchmark.name}/{config_kind}")
+    tracer = Tracer(enabled=trace,
+                    label=f"service {benchmark.name}/{config_kind}")
     saved = os.environ.get(BACKEND_ENV)
     if backend is not None:
         # scope the requested backend to this job: anything in the
@@ -150,7 +149,7 @@ def _run_pipeline(benchmark, config_kind: str, trace: bool = False,
             else:
                 os.environ[BACKEND_ENV] = saved
     summary["backend"] = backend or default_backend()
-    if tracer is not None:
+    if trace:
         summary["trace"] = tracer.export()
     return summary
 

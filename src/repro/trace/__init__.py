@@ -17,9 +17,10 @@ inlining configuration parallelizes, and which are lost or extra
   into the parent trace (:meth:`Tracer.merge`), one process lane each.
 
 Tracing is off by default: every instrumentation point accepts an
-optional tracer and falls back to the shared :data:`NULL_TRACER`, whose
-spans are a cached no-op context manager and whose ``decision()``
-returns immediately — the instrumented pipeline stays within noise of
+optional tracer.  Without one, code that reports phase timings runs a
+``Tracer(enabled=False)``, which keeps only the span aggregate the
+timings are read from; other code uses the shared no-op
+:data:`NULL_TRACER` — the instrumented pipeline stays within noise of
 the uninstrumented one.
 """
 

@@ -7,6 +7,10 @@ disabled: :data:`NULL_TRACER` hands out one cached no-op context
 manager and drops decisions in a single attribute test, keeping the
 instrumented pipeline's overhead under measurement noise.
 
+Every other tracer, enabled or not, keeps a per-name count and total
+duration of the spans it closed; phase timings are read off that
+aggregate (:meth:`Tracer.totals_since`), never off a second clock.
+
 Cross-process story: worker processes build their own enabled tracer,
 :meth:`Tracer.export` it to a plain JSON-safe dict (picklable across
 the pool boundary, JSON-safe for the service result cache), and the
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.trace.decisions import LoopDecision, SiteDecision
 
@@ -41,7 +45,9 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """An open span; closing it appends one complete ('X') event."""
+    """An open span; closing it adds its duration to the tracer's
+    aggregate and, when the tracer is enabled, appends one complete
+    ('X') event."""
 
     __slots__ = ("_tracer", "_name", "_cat", "_args", "_start")
 
@@ -58,12 +64,20 @@ class _Span:
         return self
 
     def __exit__(self, *exc):
+        seconds = time.perf_counter() - self._start
         t = self._tracer
-        start_us = (self._start - t._perf0) * 1e6
-        dur_us = (time.perf_counter() - self._start) * 1e6
+        total = t.aggregate.get(self._name)
+        if total is None:
+            t.aggregate[self._name] = [1, seconds]
+        else:
+            total[0] += 1
+            total[1] += seconds
+        if not t.enabled:
+            return False
         event: Dict[str, Any] = {
             "name": self._name, "cat": self._cat, "ph": "X",
-            "ts": round(start_us, 1), "dur": round(dur_us, 1),
+            "ts": round((self._start - t._perf0) * 1e6, 1),
+            "dur": round(seconds * 1e6, 1),
             "pid": t.pid, "tid": t.tid,
         }
         if self._args:
@@ -75,9 +89,11 @@ class _Span:
 class Tracer:
     """Collects spans, instant events, and per-loop decision records.
 
-    ``enabled=False`` builds a permanent no-op (see :data:`NULL_TRACER`);
-    instrumentation points should write
-    ``tracer = tracer or NULL_TRACER`` and call through unconditionally.
+    ``enabled=False`` keeps only the span aggregate (see
+    :meth:`totals`).  Instrumentation points that fill no report should
+    write ``tracer = tracer or NULL_TRACER`` and call through
+    unconditionally; those whose report carries phase timings fall back
+    to a fresh ``Tracer(enabled=False)`` instead.
     """
 
     def __init__(self, enabled: bool = True, label: str = "repro",
@@ -89,6 +105,9 @@ class Tracer:
         self.events: List[Dict[str, Any]] = []
         self.decisions: List[LoopDecision] = []
         self.site_decisions: List[SiteDecision] = []
+        #: span name -> [closed spans, total seconds]; merged child
+        #: traces do not add to it
+        self.aggregate: Dict[str, List[float]] = {}
         self._perf0 = time.perf_counter()
         self._wall0 = time.time()
         # decision-record identities already merged, keyed by job — a
@@ -100,10 +119,26 @@ class Tracer:
     # -- recording ---------------------------------------------------
 
     def span(self, name: str, cat: str = "pipeline", **args: Any):
-        """Context manager timing one phase; no-op when disabled."""
-        if not self.enabled:
-            return _NULL_SPAN
+        """Context manager timing one phase into the aggregate (and, when
+        enabled, onto the timeline)."""
         return _Span(self, name, cat, args)
+
+    def totals(self, names: Iterable[str]) -> Dict[str, Tuple[int, float]]:
+        """``(count, seconds)`` of the spans closed so far under each of
+        ``names`` — a mark for :meth:`totals_since`."""
+        return {name: tuple(self.aggregate.get(name, (0, 0.0)))
+                for name in names}
+
+    def totals_since(self, mark: Dict[str, Tuple[int, float]]
+                     ) -> Dict[str, float]:
+        """Seconds spent in the spans closed since ``mark`` was taken,
+        for each of its names under which at least one span closed."""
+        out: Dict[str, float] = {}
+        for name, (count, seconds) in mark.items():
+            now = self.aggregate.get(name)
+            if now is not None and now[0] > count:
+                out[name] = now[1] - seconds
+        return out
 
     def instant(self, name: str, cat: str = "pipeline",
                 **args: Any) -> None:
@@ -240,6 +275,13 @@ class Tracer:
         }
 
 
+class _NullTracer(Tracer):
+    """A disabled tracer whose spans are one cached no-op."""
+
+    def span(self, name: str, cat: str = "pipeline", **args: Any):
+        return _NULL_SPAN
+
+
 #: the shared disabled tracer — safe to use from any thread, records
-#: nothing, and never allocates per call
-NULL_TRACER = Tracer(enabled=False, label="null", pid=0)
+#: nothing (not even the span aggregate), and never allocates per call
+NULL_TRACER = _NullTracer(enabled=False, label="null", pid=0)

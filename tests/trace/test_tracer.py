@@ -69,6 +69,51 @@ class TestDisabled:
         assert NULL_TRACER.events == []
 
 
+class TestAggregate:
+    def test_disabled_tracer_aggregates_without_buffering(self):
+        t = Tracer(enabled=False)
+        for _ in range(3):
+            with t.span("parse"):
+                pass
+        count, seconds = t.aggregate["parse"]
+        assert count == 3 and seconds >= 0.0
+        assert t.events == []
+
+    def test_enabled_aggregate_equals_event_durations(self):
+        t = Tracer(pid=1)
+        with t.span("parse"):
+            with t.span("parse"):
+                pass
+        count, seconds = t.aggregate["parse"]
+        assert count == 2
+        assert abs(seconds * 1e6 - sum(e["dur"] for e in t.events)) <= 2
+
+    def test_totals_since_counts_only_later_spans(self):
+        t = Tracer(enabled=False)
+        with t.span("parse"):
+            pass
+        mark = t.totals(("parse", "reverse", "tune"))
+        with t.span("reverse"):
+            pass
+        with t.span("other"):
+            pass
+        assert set(t.totals_since(mark)) == {"reverse"}
+
+    def test_merge_does_not_add_to_the_aggregate(self):
+        child = Tracer(pid=2)
+        with child.span("work"):
+            pass
+        parent = Tracer(pid=1)
+        parent.merge(child.export())
+        assert parent.aggregate == {}
+
+    def test_null_tracer_keeps_no_aggregate(self):
+        with NULL_TRACER.span("parse"):
+            pass
+        assert NULL_TRACER.aggregate == {}
+        assert NULL_TRACER.totals_since(NULL_TRACER.totals(["parse"])) == {}
+
+
 class TestExportMerge:
     def test_roundtrip_preserves_events_and_decisions(self):
         child = Tracer(label="worker", pid=42)
